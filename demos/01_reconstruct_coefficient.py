@@ -26,8 +26,8 @@ print(f"noise level delta = {DELTA:g} (uniform amplitude, h clamped)")
 
 # a-priori parameter choice alpha = delta^2 and the regularized solve
 alpha = dl.alpha_a_priori(DELTA, "quadratic")
-problem = dl.build_tikhonov_problem(noisy, n_elements=200, alpha=alpha)
-result = dl.solve_tikhonov(problem)
+problem = dl.build_tikhonov_problem(noisy, n_elements=200)
+result = dl.solve_tikhonov(problem, alpha)
 
 exact = dl.exact_parameter_spline(200)
 diff = result.spline - exact

@@ -14,15 +14,13 @@ from pathlib import Path
 import numpy as np
 
 import difflaw as dl
+from difflaw.study import RATE_LINES
 
 OUT = Path("study_output")
 OUT.mkdir(exist_ok=True)
 DELTAS = (1e-2, 1e-3, 1e-4, 1e-5)
 
-for rule, rates in [
-    ("quadratic", {"err0": 0.5, "err1": 0.0, "residual": 1.0}),
-    ("eight_fifths", {"err0": 0.6, "err1": 0.2, "residual": 1.0}),
-]:
+for rule in ("quadratic", "eight_fifths"):
     config = dl.StudyConfig(delta_list=DELTAS, alpha_rule=rule, trials=10, base_seed=0)
     records = dl.run_study(config)
 
@@ -39,7 +37,7 @@ for rule, rates in [
         print(f"slope of median {column}: {dl.fit_rate(records, column):+.3f}")
 
     dl.emit_csv(records, OUT / f"records_{rule}.csv")
-    series, refs = dl.emit_plot_data(records, OUT / f"study_{rule}", rates)
+    series, refs = dl.emit_plot_data(records, OUT / f"study_{rule}", RATE_LINES[rule])
     print(f"wrote {series} and {refs}")
 
 print(f"\nplot-ready log-log series are in {OUT}/ (medians, min/max bands,")

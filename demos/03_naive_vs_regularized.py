@@ -22,7 +22,7 @@ print(f"naive on exact data:  err0 = {(clean - exact).l2_norm():.2e}")
 for delta in (1e-4, 1e-3, 1e-2):
     noisy = dl.add_noise(data, delta, np.random.default_rng(7))
     naive = dl.naive_reconstruction(noisy, curve, 200)
-    tikh = dl.solve_tikhonov(dl.build_tikhonov_problem(noisy, 200, delta**2))
+    tikh = dl.solve_tikhonov(dl.build_tikhonov_problem(noisy, 200), delta**2)
     err_naive = (naive - exact).l2_norm()
     err_tikh = (tikh.spline - exact).l2_norm()
     print(

@@ -18,10 +18,10 @@ exact = dl.exact_parameter_spline(200)
 
 for delta in (1e-2, 1e-3):
     noisy = dl.add_noise(data, delta, np.random.default_rng(1))
-    problem = dl.build_tikhonov_problem(noisy, 200, 1.0)  # alpha chosen below
+    problem = dl.build_tikhonov_problem(noisy, 200)
 
     alpha, result = dl.alpha_discrepancy(problem, delta, tau=1.5)
-    apriori = dl.solve_tikhonov(dl.build_tikhonov_problem(noisy, 200, delta**2))
+    apriori = dl.solve_tikhonov(problem, delta**2)
 
     print(f"delta = {delta:g}")
     print(

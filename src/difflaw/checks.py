@@ -21,7 +21,6 @@ from .splines import ParameterSpline
 from .tikhonov import (
     antiderivative_penalty_matrix,
     build_tikhonov_problem,
-    gradient_penalty_matrix,
     naive_reconstruction,
     solve_tikhonov,
     tikhonov_objective,
@@ -163,20 +162,20 @@ def check_scale_operator():
 def check_tikhonov_optimality():
     """Returned minimizer is a first-order optimum and solves are deterministic."""
     data = add_noise(reference_exact_data(500), 1e-3, np.random.default_rng(6))
-    problem = build_tikhonov_problem(data, 200, 1e-6)
-    result = solve_tikhonov(problem)
-    again = solve_tikhonov(problem)
+    problem = build_tikhonov_problem(data, 200)
+    result = solve_tikhonov(problem, 1e-6)
+    again = solve_tikhonov(problem, 1e-6)
     assert np.allclose(
         result.spline.node_values, again.spline.node_values, rtol=1e-14, atol=0
     )
-    base = tikhonov_objective(problem, result.spline.node_values)
+    base = tikhonov_objective(problem, result.spline.node_values, 1e-6)
     rng = np.random.default_rng(7)
     for _ in range(10):
         step = rng.normal(size=201)
         step *= 1e-4 / np.linalg.norm(step)
         for sign in (+1, -1):
             perturbed = tikhonov_objective(
-                problem, result.spline.node_values + sign * step
+                problem, result.spline.node_values + sign * step, 1e-6
             )
             assert perturbed >= base - 1e-14, "objective decreased under perturbation"
     return "optimality along 10 random directions"
@@ -185,16 +184,12 @@ def check_tikhonov_optimality():
 def check_residual_monotonicity():
     """Residual grows and the penalized norm shrinks as alpha increases."""
     data = add_noise(reference_exact_data(500), 1e-3, np.random.default_rng(8))
-    grad = gradient_penalty_matrix(data.interval, 200)
-    anti = antiderivative_penalty_matrix(data.interval, 200)
+    problem = build_tikhonov_problem(data, 200)
     prev_res, prev_norm = -np.inf, np.inf
     for alpha in np.logspace(-10, 2, 10):
-        problem = build_tikhonov_problem(
-            data, 200, alpha, gradient_penalty=grad, antiderivative_penalty=anti
-        )
-        result = solve_tikhonov(problem)
+        result = solve_tikhonov(problem, alpha)
         nodes = result.spline.node_values
-        pen_norm = float(np.sqrt(nodes @ (grad + anti) @ nodes))
+        pen_norm = float(np.sqrt(nodes @ problem.penalty @ nodes))
         assert result.residual >= prev_res - 1e-13, "residual decreased"
         assert pen_norm <= prev_norm + 1e-13, "penalized norm increased"
         prev_res, prev_norm = result.residual, pen_norm
@@ -204,8 +199,7 @@ def check_residual_monotonicity():
 def check_noiseless_recovery():
     """Noise-free data is recovered to the discretization floor."""
     data = reference_exact_data(500)
-    problem = build_tikhonov_problem(data, 200, 1e-12)
-    result = solve_tikhonov(problem)
+    result = solve_tikhonov(build_tikhonov_problem(data, 200), 1e-12)
     err0 = (result.spline - exact_parameter_spline(200)).l2_norm()
     assert err0 <= 1e-3, f"noiseless err0 {err0:.2e} > 1e-3"
     return f"noiseless err0 {err0:.2e}"
@@ -220,7 +214,7 @@ def check_naive_contrast():
     assert clean_err <= 5e-3, f"noise-free naive err0 {clean_err:.2e} > 5e-3"
     noisy = add_noise(data, 1e-2, np.random.default_rng(9))
     naive_err = (naive_reconstruction(noisy, curve, 200) - exact).l2_norm()
-    tikh = solve_tikhonov(build_tikhonov_problem(noisy, 200, 1e-4))
+    tikh = solve_tikhonov(build_tikhonov_problem(noisy, 200), 1e-4)
     tikh_err = (tikh.spline - exact).l2_norm()
     assert naive_err >= 10 * tikh_err, (
         f"contrast only {naive_err / tikh_err:.1f}x"

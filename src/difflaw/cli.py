@@ -23,6 +23,7 @@ from .forward import add_noise
 from .reference import exact_parameter_spline, reference_exact_data
 from .study import (
     INVERSE_CRIME_DELTA,
+    RATE_LINES,
     StudyConfig,
     derive_seed,
     emit_csv,
@@ -31,12 +32,6 @@ from .study import (
     run_study,
 )
 from .tikhonov import build_tikhonov_problem, solve_tikhonov
-
-RATE_LINES = {
-    "quadratic": {"err0": 0.5, "err1": 0.0, "residual": 1.0},
-    "eight_fifths": {"err0": 0.6, "err1": 0.2, "residual": 1.0},
-    "discrepancy": {"err0": 0.5, "err1": 0.0, "residual": 1.0},
-}
 
 
 class UsageError(ValueError):
@@ -190,7 +185,7 @@ def _cmd_reconstruct(args) -> int:
     if delta > 0:
         rng = np.random.default_rng(derive_seed(seed, delta, 0))
         data = add_noise(data, delta, rng)
-    result = solve_tikhonov(build_tikhonov_problem(data, n, alpha))
+    result = solve_tikhonov(build_tikhonov_problem(data, n), alpha)
     diff = result.spline - exact_parameter_spline(n)
     lines = ["u,a"]
     for u, a in zip(result.spline.nodes, result.spline.node_values):

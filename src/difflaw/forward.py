@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DomainError
 from .splines import ParameterSpline, StateInterval, antiderivative_weights, antiderivative_l2_norm
@@ -175,6 +174,9 @@ def mapping_weight(curve: CurveParametrization, u: float) -> float:
     the closed state range attained by h; outside it the inverse is
     undefined and a DomainError is raised.
     """
+    # imported here: scipy.optimize is slow to import and only this function uses it
+    from scipy.optimize import brentq
+
     f_lo = float(curve.h(curve.s_lo)) - u
     f_hi = float(curve.h(curve.s_hi)) - u
     if f_lo == 0.0:

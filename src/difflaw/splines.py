@@ -54,14 +54,38 @@ class StateInterval:
         return (u >= self.u_min) & (u <= self.u_max)
 
 
-def _check_in_interval(interval: StateInterval, u: np.ndarray, what: str) -> None:
-    bad = ~interval.contains(u)
+def _locate(interval: StateInterval, n_elements: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """Element index k and local coordinate t in [0, 1] of each point of u.
+
+    Raises DomainError for a point outside the interval.
+    """
+    uq = np.atleast_1d(np.asarray(u, dtype=float))
+    bad = ~interval.contains(uq)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise DomainError(
-            f"{what}[{i}]={np.asarray(u).ravel()[i]!r} outside "
-            f"[{interval.u_min}, {interval.u_max}]"
+            f"u[{i}]={uq.ravel()[i]!r} outside [{interval.u_min}, {interval.u_max}]"
         )
+    dx = interval.length / n_elements
+    k = np.clip(((uq - interval.u_min) / dx).astype(int), 0, n_elements - 1)
+    t = (uq - (interval.u_min + k * dx)) / dx
+    return k, t
+
+
+def _element_gauss_rule(
+    interval: StateInterval, n_elements: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of 3-point Gauss-Legendre on every grid element.
+
+    Exact for polynomials of degree <= 5 per element, and every point lies
+    strictly inside its element.
+    """
+    dx = interval.length / n_elements
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
+    left = interval.uniform_grid(n_elements)[:-1]
+    points = (left[:, None] + (gauss_x[None, :] + 1.0) * dx / 2.0).ravel()
+    weights = np.tile(gauss_w * dx / 2.0, n_elements)
+    return points, weights
 
 
 def antiderivative_weights(
@@ -83,13 +107,9 @@ def antiderivative_weights(
     -------
     (len(u), n_elements + 1) array of weights.
     """
-    uq = np.atleast_1d(np.asarray(u, dtype=float))
-    _check_in_interval(interval, uq, "u")
     n = int(n_elements)
     dx = interval.length / n
-    # element index and local coordinate t in [0, 1]
-    k = np.clip(((uq - interval.u_min) / dx).astype(int), 0, n - 1)
-    t = (uq - (interval.u_min + k * dx)) / dx
+    k, t = _locate(interval, n, u)
     cols = np.arange(n + 1)
     # full elements 0..k-1 contribute dx/2 * (a_j + a_{j+1}) each
     weights = (dx * ((cols[None, :] >= 1) & (cols[None, :] <= (k - 1)[:, None]))).astype(
@@ -97,7 +117,7 @@ def antiderivative_weights(
     )
     has_full = (k >= 1).astype(float)
     weights[:, 0] += 0.5 * dx * has_full
-    rows = np.arange(uq.size)
+    rows = np.arange(k.size)
     weights[rows, k] += 0.5 * dx * has_full
     # partial element k: dx * (a_k (t - t^2/2) + a_{k+1} t^2/2)
     weights[rows, k] += dx * (t - 0.5 * t * t)
@@ -161,12 +181,7 @@ class ParameterSpline:
         Raises DomainError outside the interval; callers that need clamped
         evaluation must clamp explicitly.
         """
-        uq = np.atleast_1d(np.asarray(u, dtype=float))
-        _check_in_interval(self.interval, uq, "u")
-        n = self.n_elements
-        dx = self.spacing
-        k = np.clip(((uq - self.interval.u_min) / dx).astype(int), 0, n - 1)
-        t = (uq - (self.interval.u_min + k * dx)) / dx
+        k, t = _locate(self.interval, self.n_elements, u)
         out = (1.0 - t) * self.node_values[k] + t * self.node_values[k + 1]
         return out if np.ndim(u) else float(out[0])
 
@@ -175,16 +190,12 @@ class ParameterSpline:
 
         A(u_min) = 0; A is strictly increasing whenever all nodes are > 0.
         """
-        uq = np.atleast_1d(np.asarray(u, dtype=float))
-        _check_in_interval(self.interval, uq, "u")
+        k, t = _locate(self.interval, self.n_elements, u)
         a = self.node_values
-        n = self.n_elements
         dx = self.spacing
         # cumulative integrals over full elements
         element_integrals = 0.5 * dx * (a[:-1] + a[1:])
         cum = np.concatenate(([0.0], np.cumsum(element_integrals)))
-        k = np.clip(((uq - self.interval.u_min) / dx).astype(int), 0, n - 1)
-        t = (uq - (self.interval.u_min + k * dx)) / dx
         partial = dx * (a[k] * (t - 0.5 * t * t) + a[k + 1] * (0.5 * t * t))
         out = cum[k] + partial
         return out if np.ndim(u) else float(out[0])
@@ -226,11 +237,6 @@ def antiderivative_l2_norm(spline: ParameterSpline) -> float:
     A is quadratic per element, A^2 quartic, so 3-point Gauss per element
     integrates it exactly.
     """
-    n = spline.n_elements
-    dx = spline.spacing
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
-    left = spline.nodes[:-1]
-    points = (left[:, None] + (gauss_x[None, :] + 1.0) * dx / 2.0).ravel()
-    weights = np.tile(gauss_w * dx / 2.0, n)
+    points, weights = _element_gauss_rule(spline.interval, spline.n_elements)
     values = spline.antiderivative(points)
     return float(np.sqrt(np.sum(weights * values**2)))

@@ -37,6 +37,7 @@ __all__ = [
     "read_records_csv",
     "emit_plot_data",
     "CSV_HEADER",
+    "RATE_LINES",
 ]
 
 log = logging.getLogger(__name__)
@@ -50,6 +51,13 @@ INVERSE_CRIME_DELTA = 1e-6
 # regularization used for noise-free debug cells, where the a-priori rules
 # would degenerate to alpha = 0
 NOISELESS_ALPHA = 1e-12
+
+# theoretical slopes of the reference lines in study.refs.csv, per alpha rule
+RATE_LINES = {
+    "quadratic": {"err0": 0.5, "err1": 0.0, "residual": 1.0},
+    "eight_fifths": {"err0": 0.6, "err1": 0.2, "residual": 1.0},
+    "discrepancy": {"err0": 0.5, "err1": 0.0, "residual": 1.0},
+}
 
 
 def _parse_alpha_rule(rule: str) -> tuple[str, float]:
@@ -114,31 +122,18 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _run_cell(delta, trial, config, exact_data, exact_spline, penalties, rule):
+def _run_cell(delta, trial, config, exact_data, exact_spline, penalty, rule):
     seed = derive_seed(config.base_seed, delta, trial)
     rng = np.random.default_rng(seed)
     data = add_noise(exact_data, delta, rng)
-    grad_pen, anti_pen = penalties
+    problem = build_tikhonov_problem(data, config.n_spline, penalty)
     name, param = rule
     if delta == 0.0:
-        alpha = NOISELESS_ALPHA
-    elif name == "quadratic":
-        alpha = alpha_a_priori(delta, "quadratic")
-    elif name == "eight_fifths":
-        alpha = alpha_a_priori(delta, "eight_fifths", coeff=param)
+        result = solve_tikhonov(problem, NOISELESS_ALPHA)
+    elif name == "discrepancy":
+        _, result = alpha_discrepancy(problem, delta, tau=param)
     else:
-        alpha = None  # discrepancy: chosen below
-    problem = build_tikhonov_problem(
-        data,
-        config.n_spline,
-        alpha if alpha is not None else 1.0,
-        gradient_penalty=grad_pen,
-        antiderivative_penalty=anti_pen,
-    )
-    if name == "discrepancy" and delta > 0.0:
-        alpha, result = alpha_discrepancy(problem, delta, tau=param)
-    else:
-        result = solve_tikhonov(problem)
+        result = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
     diff = result.spline - exact_spline
     return ConvergenceRecord(
         delta=float(delta),
@@ -162,9 +157,8 @@ def run_study(config: StudyConfig, deltas=None) -> list[ConvergenceRecord]:
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
     interval = exact_data.interval
-    penalties = (
-        gradient_penalty_matrix(interval, config.n_spline),
-        antiderivative_penalty_matrix(interval, config.n_spline),
+    penalty = gradient_penalty_matrix(interval, config.n_spline) + (
+        antiderivative_penalty_matrix(interval, config.n_spline)
     )
     if deltas is None:
         deltas = config.delta_list
@@ -173,7 +167,7 @@ def run_study(config: StudyConfig, deltas=None) -> list[ConvergenceRecord]:
         for trial in range(config.trials):
             try:
                 records.append(
-                    _run_cell(delta, trial, config, exact_data, exact_spline, penalties, rule)
+                    _run_cell(delta, trial, config, exact_data, exact_spline, penalty, rule)
                 )
                 log.info(
                     "cell delta=%g trial=%d: err0=%.4g", delta, trial, records[-1].err0
@@ -249,21 +243,19 @@ def read_records_csv(path) -> list[ConvergenceRecord]:
     return records
 
 
-DEFAULT_REFERENCE_RATES = {"err0": 0.5, "err1": 0.0, "residual": 1.0}
-
-
 def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path]:
     """Write log-log plot series to `<stem>.series.csv` and `<stem>.refs.csv`.
 
     The series file holds per-delta medians with min/max bands for err0,
     err1, and residual.  The refs file holds straight reference-slope lines
     anchored so that each passes through the series median at the largest
-    noise level.  Both are plain CSV, consumable by any plotting tool.
+    noise level; `reference_rates` defaults to the quadratic rule's slopes.
+    Both are plain CSV, consumable by any plotting tool.
     """
     if not records:
         raise ValueError("no records to write")
     if reference_rates is None:
-        reference_rates = DEFAULT_REFERENCE_RATES
+        reference_rates = RATE_LINES["quadratic"]
     stem = Path(path_stem)
     deltas = sorted({r.delta for r in records}, reverse=True)
 

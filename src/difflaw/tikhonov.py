@@ -10,16 +10,20 @@ norm of a' (equivalently of the second derivative of the antiderivative),
 and P the form of the squared L2 norm of the antiderivative itself.  The
 normalization A(u_min) = 0 is built into the antiderivative, so no
 constraint rows are needed.  The unique minimizer solves the normal
-equations with a symmetric positive-definite system matrix.
+equations (T^T W T + alpha (K + P)) a = T^T W y, whose system matrix is
+symmetric positive definite.
 
-Also provided: the two a-priori parameter-choice rules, a discrepancy
-principle based on bisection over log(alpha), and the naive differentiation
-reconstruction that serves as the instability baseline.
+`build_tikhonov_problem(data, n_elements)` assembles T^T W T, T^T W y and
+K + P once per data set; alpha is chosen per solve, either directly with
+`solve_tikhonov(problem, alpha)` or by the discrepancy principle with
+`alpha_discrepancy(problem, delta)`, a bisection over log(alpha).  Also
+provided: the two a-priori parameter-choice rules and the naive
+differentiation reconstruction that serves as the instability baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,7 +31,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, assemble_t_matrix, quadrature_norm
-from .splines import ParameterSpline, StateInterval, antiderivative_weights
+from .splines import ParameterSpline, StateInterval, _element_gauss_rule, antiderivative_weights
 
 __all__ = [
     "TikhonovProblem",
@@ -58,26 +62,15 @@ def gradient_penalty_matrix(interval: StateInterval, n_elements: int) -> np.ndar
     return 0.5 * (k + k.T)
 
 
-def antiderivative_penalty_matrix(
-    interval: StateInterval, n_elements: int, subintervals: int = 10
-) -> np.ndarray:
-    """Form of ||A||^2_{L2(I)} via refined composite Simpson per element.
+def antiderivative_penalty_matrix(interval: StateInterval, n_elements: int) -> np.ndarray:
+    """Form of ||A||^2_{L2(I)}, exact for the piecewise-linear spline.
 
-    A is quadratic per element; with the default 10 subintervals the
-    quadrature error is far below every tolerance used downstream.
+    A is quadratic per element, A^2 quartic, so 3-point Gauss per element
+    integrates it exactly; its points are interior, so none can fall
+    outside the interval by rounding.
     """
     n = int(n_elements)
-    dx = interval.length / n
-    nodes = interval.uniform_grid(n)
-    sub = int(subintervals)
-    if sub < 2 or sub % 2:
-        raise ValueError("subintervals must be even and >= 2")
-    simpson = np.ones(sub + 1)
-    simpson[1:-1:2] = 4.0
-    simpson[2:-2:2] = 2.0
-    simpson *= (dx / sub) / 3.0
-    points = (nodes[:-1, None] + np.arange(sub + 1)[None, :] * (dx / sub)).ravel()
-    weights = np.tile(simpson, n)
+    points, weights = _element_gauss_rule(interval, n)
     rows = antiderivative_weights(interval, n, points)
     p = rows.T @ (weights[:, None] * rows)
     return 0.5 * (p + p.T)
@@ -85,33 +78,37 @@ def antiderivative_penalty_matrix(
 
 @dataclass(frozen=True, eq=False)
 class TikhonovProblem:
-    """Assembled least-squares system for one noisy data set.
+    """Normal equations of the least-squares problem for one noisy data set.
 
-    The system matrix T^T W T + alpha (K + P) is symmetric positive
-    definite for alpha > 0 since P is definite on splines.
+    T^T W T and T^T W y are formed once, on construction; the parameter
+    alpha is given per solve.  The system matrix T^T W T + alpha (K + P) is
+    symmetric positive definite for alpha > 0 since P is definite on
+    splines.
     """
 
     t_matrix: np.ndarray             # (m, n+1)
     y: np.ndarray                    # (m,)
     quad_weights: np.ndarray         # (m,)
-    gradient_penalty: np.ndarray     # (n+1, n+1), K
-    antiderivative_penalty: np.ndarray  # (n+1, n+1), P
-    alpha: float
+    penalty: np.ndarray              # (n+1, n+1), K + P
     interval: StateInterval
+    normal_matrix: np.ndarray = field(init=False, repr=False)  # T^T W T
+    normal_rhs: np.ndarray = field(init=False, repr=False)     # T^T W y
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
         m, nn = self.t_matrix.shape
         if self.y.shape != (m,) or self.quad_weights.shape != (m,):
             raise ValueError("y and quad_weights must match the matrix row count")
-        for name in ("gradient_penalty", "antiderivative_penalty"):
-            mat = getattr(self, name)
-            if mat.shape != (nn, nn):
-                raise ValueError(f"{name} must be {nn}x{nn}")
-            defect = np.max(np.abs(mat - mat.T)) / max(np.max(np.abs(mat)), 1.0)
-            if defect > 1e-12:
-                raise ValueError(f"{name} symmetry defect {defect:.2e} > 1e-12")
+        if self.penalty.shape != (nn, nn):
+            raise ValueError(f"penalty must be {nn}x{nn}")
+        scale = max(np.max(np.abs(self.penalty)), 1.0)
+        defect = np.max(np.abs(self.penalty - self.penalty.T)) / scale
+        if defect > 1e-12:
+            raise ValueError(f"penalty symmetry defect {defect:.2e} > 1e-12")
+        w = self.quad_weights
+        object.__setattr__(
+            self, "normal_matrix", self.t_matrix.T @ (self.t_matrix * w[:, None])
+        )
+        object.__setattr__(self, "normal_rhs", (w * self.y) @ self.t_matrix)
 
     @property
     def n_elements(self) -> int:
@@ -125,8 +122,6 @@ class ReconstructionResult:
     spline: ParameterSpline
     alpha: float
     residual: float
-    err0: Optional[float] = None   # L2 error vs a known exact coefficient
-    err1: Optional[float] = None   # H1 error vs a known exact coefficient
 
     def __post_init__(self):
         if self.residual < 0:
@@ -134,65 +129,59 @@ class ReconstructionResult:
 
 
 def build_tikhonov_problem(
-    data: TraceData,
-    n_elements: int,
-    alpha: float,
-    gradient_penalty: Optional[np.ndarray] = None,
-    antiderivative_penalty: Optional[np.ndarray] = None,
+    data: TraceData, n_elements: int, penalty: Optional[np.ndarray] = None
 ) -> TikhonovProblem:
-    """Assemble the full problem for `data` on the n-element spline grid.
+    """Assemble the normal equations for `data` on the n-element spline grid.
 
-    Penalty matrices depend only on (interval, n_elements); precomputed
-    ones can be passed in when assembling many problems on one grid.
+    The penalty K + P depends only on (interval, n_elements); a precomputed
+    one can be passed in when assembling many problems on one grid.
     """
     interval = data.interval
-    if gradient_penalty is None:
-        gradient_penalty = gradient_penalty_matrix(interval, n_elements)
-    if antiderivative_penalty is None:
-        antiderivative_penalty = antiderivative_penalty_matrix(interval, n_elements)
+    if penalty is None:
+        penalty = gradient_penalty_matrix(interval, n_elements) + (
+            antiderivative_penalty_matrix(interval, n_elements)
+        )
     return TikhonovProblem(
         t_matrix=assemble_t_matrix(interval, n_elements, data),
         y=np.asarray(data.y_values, dtype=float),
         quad_weights=np.asarray(data.quad_weights, dtype=float),
-        gradient_penalty=gradient_penalty,
-        antiderivative_penalty=antiderivative_penalty,
-        alpha=float(alpha),
+        penalty=penalty,
         interval=interval,
     )
 
 
-def _normal_solve(
-    tw_t: np.ndarray, tw_y: np.ndarray, penalty: np.ndarray, alpha: float
-) -> np.ndarray:
+def _solve(problem: TikhonovProblem, alpha: float) -> tuple[np.ndarray, float]:
+    """Cholesky solve of the normal equations at alpha: (nodes, residual)."""
+    if not alpha > 0:
+        raise ValueError(f"alpha must be > 0, got {alpha}")
     try:
-        factor = cho_factor(tw_t + alpha * penalty)
-        return cho_solve(factor, tw_y)
+        factor = cho_factor(problem.normal_matrix + alpha * problem.penalty)
     except LinAlgError as exc:
         raise NumericalError(
             f"normal-equation factorization failed at alpha={alpha!r} "
-            f"(size {penalty.shape[0]}); system not positive definite: {exc}"
+            f"(size {problem.penalty.shape[0]}); system not positive definite: {exc}"
         ) from exc
+    nodes = cho_solve(factor, problem.normal_rhs)
+    residual = quadrature_norm(problem.t_matrix @ nodes - problem.y, problem.quad_weights)
+    return nodes, residual
 
 
-def solve_tikhonov(problem: TikhonovProblem) -> ReconstructionResult:
-    """Solve the normal equations by Cholesky; returns the unique minimizer."""
-    w = problem.quad_weights
-    tw = problem.t_matrix * w[:, None]
-    tw_t = problem.t_matrix.T @ tw
-    tw_y = problem.t_matrix.T @ (w * problem.y)
-    penalty = problem.gradient_penalty + problem.antiderivative_penalty
-    nodes = _normal_solve(tw_t, tw_y, penalty, problem.alpha)
+def solve_tikhonov(problem: TikhonovProblem, alpha: float) -> ReconstructionResult:
+    """Unique minimizer of the Tikhonov functional at parameter alpha > 0."""
+    nodes, residual = _solve(problem, alpha)
     spline = ParameterSpline(problem.interval, nodes)
-    residual = quadrature_norm(problem.t_matrix @ nodes - problem.y, w)
-    return ReconstructionResult(spline=spline, alpha=problem.alpha, residual=residual)
+    return ReconstructionResult(spline=spline, alpha=float(alpha), residual=residual)
 
 
-def tikhonov_objective(problem: TikhonovProblem, node_values: np.ndarray) -> float:
+def tikhonov_objective(
+    problem: TikhonovProblem, node_values: np.ndarray, alpha: float
+) -> float:
     """Value of the Tikhonov functional at the given nodal values."""
     a = np.asarray(node_values, dtype=float)
     misfit = problem.t_matrix @ a - problem.y
-    penalty = problem.gradient_penalty + problem.antiderivative_penalty
-    return float(np.sum(problem.quad_weights * misfit**2) + problem.alpha * (a @ penalty @ a))
+    return float(
+        np.sum(problem.quad_weights * misfit**2) + alpha * (a @ problem.penalty @ a)
+    )
 
 
 def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) -> float:
@@ -222,8 +211,7 @@ def alpha_discrepancy(
 
     The residual is nondecreasing in alpha, so bisection on log(alpha)
     converges to the lower edge of the bracket; the returned solution is
-    the smallest alpha found whose residual lies inside it.  `problem.alpha`
-    is ignored.
+    the smallest alpha found whose residual lies inside it.
 
     Raises NoiseLevelTooSmallError if the residual at alpha_min already
     exceeds the bracket, DataTooRoughError if the residual at alpha_max
@@ -236,23 +224,14 @@ def alpha_discrepancy(
     target_lo = tau * delta
     target_hi = 1.5 * tau * delta
 
-    w = problem.quad_weights
-    tw_t = problem.t_matrix.T @ (problem.t_matrix * w[:, None])
-    tw_y = problem.t_matrix.T @ (w * problem.y)
-    penalty = problem.gradient_penalty + problem.antiderivative_penalty
-
-    def solve_at(alpha: float) -> tuple[np.ndarray, float]:
-        nodes = _normal_solve(tw_t, tw_y, penalty, alpha)
-        return nodes, quadrature_norm(problem.t_matrix @ nodes - problem.y, w)
-
-    _, res_min = solve_at(alpha_min)
+    _, res_min = _solve(problem, alpha_min)
     if res_min > target_hi:
         raise NoiseLevelTooSmallError(
             f"residual {res_min:.3e} at alpha={alpha_min:g} already exceeds "
             f"{target_hi:.3e}; the claimed noise level {delta:g} is below what "
             "the data can be fitted to"
         )
-    nodes_max, res_max = solve_at(alpha_max)
+    _, res_max = _solve(problem, alpha_max)
     if res_max < target_lo:
         raise DataTooRoughError(
             f"residual {res_max:.3e} at alpha={alpha_max:g} is still below "
@@ -263,7 +242,7 @@ def alpha_discrepancy(
     best: Optional[tuple[float, np.ndarray, float]] = None
     for _ in range(max_iter):
         mid = float(np.sqrt(lo * hi))
-        nodes, res = solve_at(mid)
+        nodes, res = _solve(problem, mid)
         if target_lo <= res <= target_hi and (best is None or mid < best[0]):
             best = (mid, nodes, res)
         if res < target_lo:

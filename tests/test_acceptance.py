@@ -191,10 +191,7 @@ def test_criterion_7_instability_contrast(
     ).l2_norm()
     clean_tikh = (
         dl.solve_tikhonov(
-            dl.build_tikhonov_problem(
-                exact_data, 200, 1e-12,
-                gradient_penalty=grad, antiderivative_penalty=anti,
-            )
+            dl.build_tikhonov_problem(exact_data, 200, penalty=grad + anti), 1e-12
         ).spline
         - exact_spline
     ).l2_norm()

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import difflaw
 from difflaw.cli import main
 from difflaw.study import read_records_csv
 
@@ -148,6 +154,16 @@ def test_reconstruct_writes_spline(tmp_path, capsys):
     assert "residual=" in capsys.readouterr().out
 
 
+def test_reconstruct_small_grid(tmp_path, capsys):
+    out = tmp_path / "coarse.csv"
+    code = main(
+        ["reconstruct", "--delta", "1e-2", "--alpha", "1e-4", "--n", "5", "--out", str(out)]
+    )
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 7
+    capsys.readouterr()
+
+
 def test_reconstruct_noise_free(tmp_path, capsys):
     out = tmp_path / "clean.csv"
     code = main(
@@ -164,3 +180,15 @@ def test_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+def test_cli_import_skips_scipy_optimize():
+    src = str(Path(difflaw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, difflaw.cli; print('scipy.optimize' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

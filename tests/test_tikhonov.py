@@ -6,12 +6,16 @@ import pytest
 from difflaw import (
     DataTooRoughError,
     NoiseLevelTooSmallError,
+    ParameterSpline,
     add_noise,
     alpha_a_priori,
     alpha_discrepancy,
+    antiderivative_l2_norm,
+    antiderivative_penalty_matrix,
     build_tikhonov_problem,
     naive_reconstruction,
     reference_curve,
+    reference_interval,
     solve_tikhonov,
     tikhonov_objective,
 )
@@ -24,79 +28,70 @@ def _noisy(exact_data, delta, seed):
 def test_zero_data_gives_zero_spline(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
     data = replace(exact_data, y_values=np.zeros(exact_data.m))
-    problem = build_tikhonov_problem(
-        data, 200, 1e-4, gradient_penalty=grad, antiderivative_penalty=anti
-    )
-    result = solve_tikhonov(problem)
+    problem = build_tikhonov_problem(data, 200, penalty=grad + anti)
+    result = solve_tikhonov(problem, 1e-4)
     assert result.spline.l2_norm() <= 1e-12
 
 
 def test_noiseless_recovery(exact_data, exact_spline, penalty_matrices):
     grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(
-        exact_data, 200, 1e-12, gradient_penalty=grad, antiderivative_penalty=anti
-    )
-    result = solve_tikhonov(problem)
+    problem = build_tikhonov_problem(exact_data, 200, penalty=grad + anti)
+    result = solve_tikhonov(problem, 1e-12)
     assert (result.spline - exact_spline).l2_norm() <= 1e-3
 
 
 def test_large_alpha_kills_the_solution(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
-    small = solve_tikhonov(
-        build_tikhonov_problem(
-            exact_data, 200, 1e-12, gradient_penalty=grad, antiderivative_penalty=anti
-        )
-    )
-    large = solve_tikhonov(
-        build_tikhonov_problem(
-            exact_data, 200, 1e8, gradient_penalty=grad, antiderivative_penalty=anti
-        )
-    )
+    problem = build_tikhonov_problem(exact_data, 200, penalty=grad + anti)
+    small = solve_tikhonov(problem, 1e-12)
+    large = solve_tikhonov(problem, 1e8)
     assert large.spline.l2_norm() <= 1e-4 * small.spline.l2_norm()
 
 
+@pytest.mark.parametrize("n", [1, 5, 14, 18, 20, 200, 1000])
+def test_antiderivative_penalty_matches_exact_norm(n):
+    # includes grid sizes at which equispaced sample points round past u_max
+    interval = reference_interval()
+    penalty = antiderivative_penalty_matrix(interval, n)
+    a = np.random.default_rng(n).normal(size=n + 1)
+    exact = antiderivative_l2_norm(ParameterSpline(interval, a)) ** 2
+    assert a @ penalty @ a == pytest.approx(exact, rel=1e-10)
+
+
 def test_alpha_must_be_positive(exact_data):
+    problem = build_tikhonov_problem(exact_data, 50)
     with pytest.raises(ValueError):
-        build_tikhonov_problem(exact_data, 50, 0.0)
+        solve_tikhonov(problem, 0.0)
 
 
 def test_solve_is_deterministic(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(
-        _noisy(exact_data, 1e-3, 0), 200, 1e-6,
-        gradient_penalty=grad, antiderivative_penalty=anti,
-    )
-    a = solve_tikhonov(problem).spline.node_values
-    b = solve_tikhonov(problem).spline.node_values
+    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 0), 200, penalty=grad + anti)
+    a = solve_tikhonov(problem, 1e-6).spline.node_values
+    b = solve_tikhonov(problem, 1e-6).spline.node_values
     np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
 
 
 def test_first_order_optimality(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(
-        _noisy(exact_data, 1e-3, 1), 200, 1e-6,
-        gradient_penalty=grad, antiderivative_penalty=anti,
-    )
-    nodes = solve_tikhonov(problem).spline.node_values
-    base = tikhonov_objective(problem, nodes)
+    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 1), 200, penalty=grad + anti)
+    nodes = solve_tikhonov(problem, 1e-6).spline.node_values
+    base = tikhonov_objective(problem, nodes, 1e-6)
     rng = np.random.default_rng(2)
     for _ in range(10):
         direction = rng.normal(size=nodes.size)
         direction *= 1e-4 / np.linalg.norm(direction)
-        assert tikhonov_objective(problem, nodes + direction) >= base - 1e-14
-        assert tikhonov_objective(problem, nodes - direction) >= base - 1e-14
+        assert tikhonov_objective(problem, nodes + direction, 1e-6) >= base - 1e-14
+        assert tikhonov_objective(problem, nodes - direction, 1e-6) >= base - 1e-14
 
 
 def test_monotonicity_in_alpha(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
-    data = _noisy(exact_data, 1e-3, 3)
+    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 3), 200, penalty=grad + anti)
     prev_residual = -np.inf
     prev_h1 = np.inf
     for alpha in np.logspace(-10, 2, 10):
-        problem = build_tikhonov_problem(
-            data, 200, alpha, gradient_penalty=grad, antiderivative_penalty=anti
-        )
-        result = solve_tikhonov(problem)
+        result = solve_tikhonov(problem, alpha)
         nodes = result.spline.node_values
         # H1 norm of the antiderivative: ||A||^2 + ||A'||^2 = P-form + ||a||^2
         h1_of_antiderivative = np.sqrt(
@@ -119,10 +114,7 @@ def test_error_in_strong_norm_stays_bounded(exact_data, exact_spline, penalty_ma
         for seed in range(5):
             data = _noisy(exact_data, delta, seed)
             result = solve_tikhonov(
-                build_tikhonov_problem(
-                    data, 200, delta**2,
-                    gradient_penalty=grad, antiderivative_penalty=anti,
-                )
+                build_tikhonov_problem(data, 200, penalty=form), delta**2
             )
             d = result.spline.node_values - exact_spline.node_values
             errs.append(np.sqrt(d @ form @ d))
@@ -146,20 +138,12 @@ def test_alpha_a_priori_rules():
 
 def test_residual_monotone_for_random_alphas(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
-    data = _noisy(exact_data, 1e-3, 4)
+    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 4), 200, penalty=grad + anti)
     rng = np.random.default_rng(5)
     for _ in range(20):
         alpha = 10.0 ** rng.uniform(-12, 2)
-        r1 = solve_tikhonov(
-            build_tikhonov_problem(
-                data, 200, alpha, gradient_penalty=grad, antiderivative_penalty=anti
-            )
-        ).residual
-        r2 = solve_tikhonov(
-            build_tikhonov_problem(
-                data, 200, 10 * alpha, gradient_penalty=grad, antiderivative_penalty=anti
-            )
-        ).residual
+        r1 = solve_tikhonov(problem, alpha).residual
+        r2 = solve_tikhonov(problem, 10 * alpha).residual
         assert r2 >= r1 - 1e-13
 
 
@@ -167,9 +151,7 @@ def test_discrepancy_reference_bracket(exact_data, penalty_matrices):
     grad, anti = penalty_matrices
     delta, tau = 1e-3, 1.5
     data = _noisy(exact_data, delta, 6)
-    problem = build_tikhonov_problem(
-        data, 200, 1.0, gradient_penalty=grad, antiderivative_penalty=anti
-    )
+    problem = build_tikhonov_problem(data, 200, penalty=grad + anti)
     alpha, result = alpha_discrepancy(problem, delta, tau=tau)
     assert tau * delta <= result.residual <= 1.5 * tau * delta
     assert result.alpha == alpha > 0
@@ -178,9 +160,7 @@ def test_discrepancy_reference_bracket(exact_data, penalty_matrices):
 def test_discrepancy_noise_level_too_small(exact_data, penalty_matrices):
     # discretization floor ~1e-8 exceeds the bracket for delta = 1e-10
     grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(
-        exact_data, 200, 1.0, gradient_penalty=grad, antiderivative_penalty=anti
-    )
+    problem = build_tikhonov_problem(exact_data, 200, penalty=grad + anti)
     with pytest.raises(NoiseLevelTooSmallError):
         alpha_discrepancy(problem, 1e-10, tau=1.5)
 
@@ -188,15 +168,13 @@ def test_discrepancy_noise_level_too_small(exact_data, penalty_matrices):
 def test_discrepancy_data_too_rough(exact_data, penalty_matrices):
     # delta far above ||y|| cannot be matched even by maximal smoothing
     grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(
-        exact_data, 200, 1.0, gradient_penalty=grad, antiderivative_penalty=anti
-    )
+    problem = build_tikhonov_problem(exact_data, 200, penalty=grad + anti)
     with pytest.raises(DataTooRoughError):
         alpha_discrepancy(problem, 10.0, tau=1.5)
 
 
 def test_discrepancy_validates_arguments(exact_data):
-    problem = build_tikhonov_problem(exact_data, 50, 1.0)
+    problem = build_tikhonov_problem(exact_data, 50)
     with pytest.raises(ValueError):
         alpha_discrepancy(problem, -1.0)
     with pytest.raises(ValueError):
@@ -223,9 +201,7 @@ def test_naive_amplifies_noise(exact_data, exact_spline, penalty_matrices):
         naive = naive_reconstruction(data, reference_curve(), 200)
         naive_errs.append((naive - exact_spline).l2_norm())
         result = solve_tikhonov(
-            build_tikhonov_problem(
-                data, 200, delta**2, gradient_penalty=grad, antiderivative_penalty=anti
-            )
+            build_tikhonov_problem(data, 200, penalty=grad + anti), delta**2
         )
         tikh_errs.append((result.spline - exact_spline).l2_norm())
     assert np.median(naive_errs) >= 10 * np.median(tikh_errs)
