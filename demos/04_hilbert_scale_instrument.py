@@ -23,10 +23,9 @@ print(f"eigenvalues: min {op.eigenvalues[0]:.6f}, max {op.eigenvalues[-1]:.3e}")
 rng = np.random.default_rng(0)
 u = np.zeros(op.n_points)
 u[1:] = rng.normal(size=op.n_points - 1)
-m_diag = np.diagonal(op.mass)
 print(
     f"scale_norm(u, -1) = {op.scale_norm(u, -1.0):.6f}   "
-    f"discrete L2 norm = {np.sqrt(u[1:] @ (m_diag * u[1:])):.6f}"
+    f"discrete L2 norm = {np.sqrt(u[1:] @ (op.mass * u[1:])):.6f}"
 )
 
 # index 1 matches ||u''||^2 + ||u||^2 for a smooth compatible function

@@ -173,13 +173,17 @@ def _cmd_reconstruct(args) -> int:
     out = _merged(args, config_file, "out", str, None)
     if delta is None or alpha is None or out is None:
         raise UsageError("reconstruct requires --delta, --alpha and --out")
-    if delta < 0:
-        raise UsageError(f"--delta must be >= 0, got {delta}")
-    if alpha <= 0:
-        raise UsageError(f"--alpha must be > 0, got {alpha}")
+    if not 0 <= delta < np.inf:
+        raise UsageError(f"--delta must be finite and >= 0, got {delta}")
+    if not 0 < alpha < np.inf:
+        raise UsageError(f"--alpha must be finite and > 0, got {alpha}")
     seed = _merged(args, config_file, "seed", int, 0)
     n = _merged(args, config_file, "n", int, 200)
     m = _merged(args, config_file, "m", int, 500)
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+    if m < 2:
+        raise UsageError(f"--m must be >= 2, got {m}")
 
     data = reference_exact_data(m)
     if delta > 0:

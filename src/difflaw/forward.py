@@ -129,8 +129,8 @@ def add_noise(data: TraceData, delta: float, rng: np.random.Generator) -> TraceD
     truncation), the observations are not.  The h draw precedes the y draw,
     so results are reproducible for a given generator state.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     xi = rng.uniform(-delta, delta, data.m)
     eta = rng.uniform(-delta, delta, data.m)
     h_noisy = np.clip(data.h_values + xi, data.interval.u_min, data.interval.u_max)

@@ -38,27 +38,19 @@ class DiscreteScaleOperator:
 
     Vectors passed to the methods live on the full grid (length N+1) and
     must vanish at the first node (the essential constraint).  The stored
-    matrices act on the constrained unknowns at nodes 1..N; eigenvector
+    arrays act on the constrained unknowns at nodes 1..N; eigenvector
     columns are padded back to the full grid.
     """
 
     interval: StateInterval
     grid: np.ndarray               # (N+1,) nodes
-    stiffness: np.ndarray          # (N, N), realizes (u'', u'')
     stiffness_factor: np.ndarray   # (N-1, N) weighted second differences, K = F^T F
-    mass: np.ndarray               # (N, N) diagonal, realizes (u, u)
+    mass: np.ndarray               # (N,) diagonal of the lumped mass M, realizes (u, u)
     eigenvalues: np.ndarray        # (N,), ascending, all >= 1
     eigenvectors: np.ndarray       # (N+1, N), M-orthonormal, zero first row
 
     def __post_init__(self):
-        for name in (
-            "grid",
-            "stiffness",
-            "stiffness_factor",
-            "mass",
-            "eigenvalues",
-            "eigenvectors",
-        ):
+        for name in ("grid", "stiffness_factor", "mass", "eigenvalues", "eigenvectors"):
             arr = np.asarray(getattr(self, name))
             arr = np.array(arr, copy=True)
             arr.flags.writeable = False
@@ -79,8 +71,7 @@ class DiscreteScaleOperator:
             raise ValueError(
                 "vector must satisfy the essential condition u(u_min) = 0"
             )
-        mass_diag = np.diagonal(self.mass)
-        return self.eigenvectors[1:].T @ (mass_diag * u[1:])
+        return self.eigenvectors[1:].T @ (self.mass * u[1:])
 
     def stiffness_energy(self, u: np.ndarray) -> float:
         """Quadratic form u^T K u evaluated as ||F u||^2, hence >= 0 exactly."""
@@ -147,13 +138,10 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
         d2[i - 1, i] = 1.0 / dx**2
     quad_w = np.full(n - 1, dx)
     factor = np.sqrt(quad_w)[:, None] * d2
-    stiffness = factor.T @ factor
-    stiffness = 0.5 * (stiffness + stiffness.T)
 
     # trapezoid-lumped mass on u_1..u_N (u_0 excluded)
     mass_diag = np.full(n, dx)
     mass_diag[-1] = dx / 2.0
-    mass = np.diag(mass_diag)
 
     # eigenpairs of (K + M) v = lambda M v via SVD of F M^{-1/2}:
     # lambda = 1 + sigma^2 >= 1 exactly, v = M^{-1/2} q is M-orthonormal.
@@ -173,9 +161,8 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
     op = DiscreteScaleOperator(
         interval=interval,
         grid=grid,
-        stiffness=stiffness,
         stiffness_factor=factor,
-        mass=mass,
+        mass=mass_diag,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
     )
@@ -184,16 +171,12 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
 
 
 def _validate(op: DiscreteScaleOperator) -> None:
-    k = op.stiffness
-    sym_defect = np.max(np.abs(k - k.T)) / max(np.max(np.abs(k)), 1.0)
-    if sym_defect > 1e-12:
-        raise NumericalError(f"stiffness symmetry defect {sym_defect:.2e} > 1e-12")
     if op.eigenvalues[0] < 1.0 - 1e-10:
         raise NumericalError(
             f"smallest eigenvalue {op.eigenvalues[0]!r} below the strict-positivity bound"
         )
     v = op.eigenvectors[1:]
-    gram = v.T @ (np.diagonal(op.mass)[:, None] * v)
+    gram = v.T @ (op.mass[:, None] * v)
     orth_defect = np.max(np.abs(gram - np.eye(v.shape[1])))
     if orth_defect > 1e-10:
         raise NumericalError(f"M-orthonormality defect {orth_defect:.2e} > 1e-10")

@@ -94,8 +94,8 @@ class StudyConfig:
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
         if not self.delta_list:
             raise ValueError("delta_list must not be empty")
-        if any(d <= 0 for d in self.delta_list):
-            raise ValueError("all noise levels must be positive")
+        if not all(0 < d < np.inf for d in self.delta_list):
+            raise ValueError("all noise levels must be positive and finite")
         if any(a <= b for a, b in zip(self.delta_list, self.delta_list[1:])):
             raise ValueError("delta_list must be strictly decreasing")
         if self.trials < 1:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 import difflaw as dl
+from difflaw import checks
 
 from conftest import median_of
 
@@ -18,6 +19,14 @@ TABLE_ERR0 = {1e-2: 0.036672, 1e-3: 0.008765, 1e-4: 0.002147}
 def _report(criterion, ok, detail):
     print(f"{'PASS' if ok else 'FAIL'} {criterion}: {detail}")
     assert ok, f"{criterion}: {detail}"
+
+
+def _measure(criterion, check, **sizes):
+    """Values measured by `check` at the criterion's sizes; FAIL line if it fails."""
+    try:
+        return check(**sizes).values
+    except AssertionError as exc:
+        _report(criterion, False, str(exc))
 
 
 def test_criterion_1_error_bands():
@@ -70,138 +79,61 @@ def test_criterion_3_residual_scaling(quadratic_records):
 
 
 def test_criterion_4_operator_mapping_band():
-    rng = np.random.default_rng(2024)
-    curve = dl.reference_curve()
-    interval = dl.reference_interval()
-    ratios = [
-        dl.operator_norm_ratio(
-            dl.ParameterSpline(interval, rng.normal(size=201)), curve, 500
-        )
-        for _ in range(100)
-    ]
-    lo, hi = min(ratios), max(ratios)
-    ok = lo >= 0.98 and hi <= 1.214
+    criterion = "criterion 4 (operator norm equivalence)"
+    band = _measure(criterion, checks.check_mapping_band, n_splines=100, seed=2024)
     _report(
-        "criterion 4 (operator norm equivalence)",
-        ok,
-        f"100 random splines, ratio in [{lo:.4f}, {hi:.4f}] (band [0.98, 1.214])",
+        criterion,
+        True,
+        f"100 random splines, ratio in [{band['lo']:.4f}, {band['hi']:.4f}] "
+        "(band [0.98, 1.214])",
     )
 
 
-def test_criterion_5_perturbation_linearity(exact_data, penalty_matrices):
-    _, anti = penalty_matrices
-    interval = exact_data.interval
-    grid = interval.uniform_grid(200)
-    dx = interval.length / 200
-    rng = np.random.default_rng(77)
-    tests = [
-        sum(
-            c * np.cos(k * np.pi * (grid - interval.u_min) / interval.length)
-            for k, c in enumerate(rng.normal(size=5))
-        )
-        for _ in range(20)
-    ]
-
-    def h2_norm(w):
-        return np.sqrt(
-            w @ anti @ w
-            + np.sum(dx * (w[:-1] ** 2 + w[:-1] * w[1:] + w[1:] ** 2) / 3)
-            + np.sum(np.diff(w) ** 2) / dx
-        )
-
-    t_exact = dl.assemble_t_matrix(interval, 200, exact_data)
-    constants = {}
-    for delta in (1e-2, 1e-3, 1e-4, 1e-5):
-        worst = 0.0
-        for draw in range(3):
-            noisy = dl.add_noise(
-                exact_data, delta, np.random.default_rng([draw, int(1 / delta)])
-            )
-            diff = t_exact - dl.assemble_t_matrix(interval, 200, noisy)
-            for w in tests:
-                norm = np.sqrt(np.sum(exact_data.quad_weights * (diff @ w) ** 2))
-                worst = max(worst, norm / (delta * h2_norm(w)))
-        constants[delta] = worst
-    spread = max(constants.values()) / min(constants.values())
-    ok = spread <= 4.0
+def test_criterion_5_perturbation_linearity():
+    criterion = "criterion 5 (operator perturbation linear in delta)"
+    perturbation = _measure(
+        criterion,
+        checks.check_perturbation_stability,
+        n_functions=20,
+        deltas=(1e-2, 1e-3, 1e-4, 1e-5),
+        seed=77,
+    )
     detail = (
         "fitted C per delta = "
-        + ", ".join(f"{d:g}: {c:.3f}" for d, c in constants.items())
-        + f"; spread factor {spread:.2f} (limit 4)"
+        + ", ".join(f"{d:g}: {c:.3f}" for d, c in perturbation["constants"].items())
+        + f"; spread factor {perturbation['spread']:.2f} (limit 4)"
     )
-    _report("criterion 5 (operator perturbation linear in delta)", ok, detail)
+    _report(criterion, True, detail)
 
 
 def test_criterion_6_hilbert_scale_suite():
-    op = dl.build_scale_operator(dl.reference_interval(), 400)
-    k = op.stiffness
+    criterion = "criterion 6 (discrete Hilbert-scale spectral suite)"
+    suite = _measure(
+        criterion, checks.check_scale_operator, n_points=400, n_samples=500, seed=55
+    )
+    factor = dl.build_scale_operator(dl.reference_interval(), 400).stiffness_factor
+    k = factor.T @ factor
     sym_defect = np.max(np.abs(k - k.T)) / np.max(np.abs(k))
-    lam_min = op.eigenvalues[0]
-    rng = np.random.default_rng(55)
-    m_diag = np.diagonal(op.mass)
-    worst_margin = np.inf
-    worst_l2 = 0.0
-    checks = 0
-    while checks < 500:
-        u = np.zeros(op.n_points)
-        u[1:] = rng.normal(size=op.n_points - 1)
-        r, t = np.sort(rng.uniform(-2.0, 3.0, 2))
-        if t - r < 1e-3:
-            continue
-        s = rng.uniform(r, t)
-        rhs = op.x_norm(u, r) ** ((t - s) / (t - r)) * op.x_norm(u, t) ** (
-            (s - r) / (t - r)
-        )
-        worst_margin = min(worst_margin, op.interpolation_margin(u, r, s, t) / rhs)
-        m_norm = np.sqrt(u[1:] @ (m_diag * u[1:]))
-        worst_l2 = max(worst_l2, abs(op.scale_norm(u, -1.0) - m_norm) / m_norm)
-        checks += 1
-    ok = (
-        sym_defect <= 1e-12
-        and lam_min >= 1.0 - 1e-10
-        and worst_margin >= -1e-10
-        and worst_l2 <= 1e-12
-    )
     detail = (
-        f"symmetry defect {sym_defect:.1e}, lambda_min {lam_min!r}, "
-        f"worst interpolation margin/RHS {worst_margin:.1e} over 500 checks, "
-        f"worst |scale_norm(-1) - L2|/L2 {worst_l2:.1e}"
+        f"symmetry defect {sym_defect:.1e}, lambda_min {suite['lam_min']!r}, "
+        f"worst interpolation margin/RHS {suite['worst_margin']:.1e} over 500 checks, "
+        f"worst |scale_norm(-1) - L2|/L2 {suite['worst_l2']:.1e}"
     )
-    _report("criterion 6 (discrete Hilbert-scale spectral suite)", ok, detail)
+    _report(criterion, sym_defect <= 1e-12, detail)
 
 
-def test_criterion_7_instability_contrast(
-    exact_data, exact_spline, penalty_matrices, quadratic_records
-):
-    curve = dl.reference_curve()
-    grad, anti = penalty_matrices
+def test_criterion_7_instability_contrast():
+    criterion = "criterion 7 (regularization vs naive differentiation)"
     # paired noise draws: same seeds the study used at delta = 1e-2
-    naive_errs = []
-    for trial in range(10):
-        rng = np.random.default_rng(dl.derive_seed(0, 1e-2, trial))
-        data = dl.add_noise(exact_data, 1e-2, rng)
-        naive = dl.naive_reconstruction(data, curve, 200)
-        naive_errs.append((naive - exact_spline).l2_norm())
-    naive_median = float(np.median(naive_errs))
-    tikh_median = median_of(quadratic_records, 1e-2, "err0")
-    contrast = naive_median / tikh_median
-
-    clean_naive = (
-        dl.naive_reconstruction(exact_data, curve, 200) - exact_spline
-    ).l2_norm()
-    clean_tikh = (
-        dl.solve_tikhonov(
-            dl.build_tikhonov_problem(exact_data, 200, penalty=grad + anti), 1e-12
-        ).spline
-        - exact_spline
-    ).l2_norm()
-    ok = contrast >= 10.0 and clean_naive <= 5e-3 and clean_tikh <= 5e-3
+    seeds = [dl.derive_seed(0, 1e-2, trial) for trial in range(10)]
+    contrast = _measure(criterion, checks.check_naive_contrast, seeds=seeds)
+    clean = _measure(criterion, checks.check_noiseless_recovery)
     detail = (
-        f"noisy contrast {contrast:.0f}x (naive {naive_median:.3f} vs tikhonov "
-        f"{tikh_median:.4f}); noise-free err0: naive {clean_naive:.1e}, "
-        f"tikhonov {clean_tikh:.1e} (both <= 5e-3)"
+        f"noisy contrast {contrast['contrast']:.0f}x (naive {contrast['naive']:.3f} vs "
+        f"tikhonov {contrast['tikhonov']:.4f}); noise-free err0: naive "
+        f"{contrast['clean_naive']:.1e} (<= 5e-3), tikhonov {clean['err0']:.1e} (<= 1e-3)"
     )
-    _report("criterion 7 (regularization vs naive differentiation)", ok, detail)
+    _report(criterion, True, detail)
 
 
 def test_criterion_8_discrepancy_principle(discrepancy_records, quadratic_records):

@@ -78,6 +78,16 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["study", "--deltas", "1e-2"]) == 1  # missing --out
     assert main(["reconstruct", "--delta", "1e-2"]) == 1  # missing alpha/out
     assert main(["reconstruct", "--delta", "1e-2", "--alpha", "-1", "--out", "x"]) == 1
+    assert main(["study", "--deltas", "nan", "--out", str(tmp_path)]) == 1
+    assert main(["study", "--deltas", "inf,1e-2", "--out", str(tmp_path)]) == 1
+    out = str(tmp_path / "x.csv")
+    valid = ["reconstruct", "--delta", "1e-2", "--alpha", "1e-4", "--out", out]
+    for flag, value in [
+        ("--delta", "inf"), ("--delta", "nan"), ("--n", "-3"), ("--n", "0"), ("--m", "1")
+    ]:
+        assert main(valid + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     capsys.readouterr()
 
 
@@ -182,13 +192,28 @@ def test_verify_passes(capsys):
     assert out.count("PASS") >= 10
 
 
-def test_cli_import_skips_scipy_optimize():
+def _run_python(args, cwd=None):
+    """Run a Python subprocess that imports difflaw from this source tree."""
     src = str(Path(difflaw.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, difflaw.cli; print('scipy.optimize' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_cli_import_skips_scipy_optimize():
+    probe = "import sys, difflaw.cli; print('scipy.optimize' in sys.modules)"
+    done = _run_python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # cwd is a scratch directory: the convergence-study demo writes ./study_output/
+    done = _run_python([str(demo)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr

@@ -8,6 +8,7 @@ from difflaw import (
     StateInterval,
     antiderivative_l2_norm,
     antiderivative_weights,
+    checks,
     reference_interval,
 )
 
@@ -106,26 +107,7 @@ def test_antiderivative_strictly_increasing_for_positive_nodes():
 
 
 def test_antiderivative_linear_in_nodes():
-    rng = np.random.default_rng(102)
-    interval = reference_interval()
-    u = np.linspace(interval.u_min, interval.u_max, 37)
-    for _ in range(25):
-        p = rng.normal(size=21)
-        q = rng.normal(size=21)
-        c = rng.normal()
-        sp = ParameterSpline(interval, p)
-        sq = ParameterSpline(interval, q)
-        s_sum = ParameterSpline(interval, p + q)
-        s_scaled = ParameterSpline(interval, c * p)
-        np.testing.assert_allclose(
-            s_sum.antiderivative(u),
-            sp.antiderivative(u) + sq.antiderivative(u),
-            rtol=1e-12,
-            atol=1e-14,
-        )
-        np.testing.assert_allclose(
-            s_scaled.antiderivative(u), c * sp.antiderivative(u), rtol=1e-12, atol=1e-14
-        )
+    checks.check_antiderivative(n_splines=25, n_elements=20, n_points=37, seed=102)
 
 
 def test_antiderivative_derivative_matches_eval():

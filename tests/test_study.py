@@ -19,6 +19,9 @@ def test_config_validation():
         StudyConfig(delta_list=(1e-3, 1e-2))  # not decreasing
     with pytest.raises(ValueError):
         StudyConfig(delta_list=(1e-2, -1e-3))
+    for bad in [(float("nan"),), (float("inf"), 1e-2)]:
+        with pytest.raises(ValueError, match="finite"):
+            StudyConfig(delta_list=bad)
     with pytest.raises(ValueError):
         StudyConfig(trials=0)
     with pytest.raises(ValueError):

@@ -13,11 +13,11 @@ from difflaw import (
     antiderivative_l2_norm,
     antiderivative_penalty_matrix,
     build_tikhonov_problem,
+    checks,
     naive_reconstruction,
     reference_curve,
     reference_interval,
     solve_tikhonov,
-    tikhonov_objective,
 )
 
 
@@ -33,11 +33,8 @@ def test_zero_data_gives_zero_spline(exact_data, penalty_matrices):
     assert result.spline.l2_norm() <= 1e-12
 
 
-def test_noiseless_recovery(exact_data, exact_spline, penalty_matrices):
-    grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(exact_data, 200, penalty=grad + anti)
-    result = solve_tikhonov(problem, 1e-12)
-    assert (result.spline - exact_spline).l2_norm() <= 1e-3
+def test_noiseless_recovery():
+    checks.check_noiseless_recovery()
 
 
 def test_large_alpha_kills_the_solution(exact_data, penalty_matrices):
@@ -64,25 +61,12 @@ def test_alpha_must_be_positive(exact_data):
         solve_tikhonov(problem, 0.0)
 
 
-def test_solve_is_deterministic(exact_data, penalty_matrices):
-    grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 0), 200, penalty=grad + anti)
-    a = solve_tikhonov(problem, 1e-6).spline.node_values
-    b = solve_tikhonov(problem, 1e-6).spline.node_values
-    np.testing.assert_allclose(a, b, rtol=1e-14, atol=0)
+def test_solve_is_deterministic():
+    checks.check_tikhonov_optimality(noise_seed=0, n_directions=0)
 
 
-def test_first_order_optimality(exact_data, penalty_matrices):
-    grad, anti = penalty_matrices
-    problem = build_tikhonov_problem(_noisy(exact_data, 1e-3, 1), 200, penalty=grad + anti)
-    nodes = solve_tikhonov(problem, 1e-6).spline.node_values
-    base = tikhonov_objective(problem, nodes, 1e-6)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        direction = rng.normal(size=nodes.size)
-        direction *= 1e-4 / np.linalg.norm(direction)
-        assert tikhonov_objective(problem, nodes + direction, 1e-6) >= base - 1e-14
-        assert tikhonov_objective(problem, nodes - direction, 1e-6) >= base - 1e-14
+def test_first_order_optimality():
+    checks.check_tikhonov_optimality(noise_seed=1, direction_seed=2)
 
 
 def test_monotonicity_in_alpha(exact_data, penalty_matrices):
@@ -192,19 +176,8 @@ def test_naive_constant_data(exact_data):
     assert naive.l2_norm() <= 1e-10
 
 
-def test_naive_amplifies_noise(exact_data, exact_spline, penalty_matrices):
-    grad, anti = penalty_matrices
-    delta = 1e-2
-    naive_errs, tikh_errs = [], []
-    for seed in range(5):
-        data = _noisy(exact_data, delta, seed + 50)
-        naive = naive_reconstruction(data, reference_curve(), 200)
-        naive_errs.append((naive - exact_spline).l2_norm())
-        result = solve_tikhonov(
-            build_tikhonov_problem(data, 200, penalty=grad + anti), delta**2
-        )
-        tikh_errs.append((result.spline - exact_spline).l2_norm())
-    assert np.median(naive_errs) >= 10 * np.median(tikh_errs)
+def test_naive_amplifies_noise():
+    checks.check_naive_contrast(seeds=range(50, 55))
 
 
 def test_naive_requires_three_points(exact_data):
