@@ -39,6 +39,12 @@ from .tikhonov import (
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
 
 
+def _require(holds: bool, message: str) -> None:
+    """Fail the check; an explicit raise, so `python -O` cannot strip it."""
+    if not holds:
+        raise AssertionError(message)
+
+
 class CheckResult(NamedTuple):
     """A passed check: its one-line detail and the values it measured."""
 
@@ -60,8 +66,9 @@ def check_spline_norms(n_splines=5, seed=0):
         w[1:-1:2] = 4.0
         w[2:-2:2] = 2.0
         simpson = np.sqrt(np.sum(w * vals**2) * h / 3.0)
-        assert abs(spline.l2_norm() - simpson) <= 1e-12 * simpson, (
-            f"l2 {spline.l2_norm()} vs simpson {simpson}"
+        _require(
+            abs(spline.l2_norm() - simpson) <= 1e-12 * simpson,
+            f"l2 {spline.l2_norm()} vs simpson {simpson}",
         )
     return CheckResult(f"l2 norm vs Simpson oracle on {n_splines} random splines", {})
 
@@ -78,8 +85,8 @@ def check_antiderivative(n_splines=20, n_elements=24, n_points=50, seed=1):
         lin = ParameterSpline(interval, p.node_values + c * q.node_values)
         lhs = lin.antiderivative(u)
         rhs = p.antiderivative(u) + c * q.antiderivative(u)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14), "not linear in nodes"
-        assert np.all(np.diff(p.antiderivative(u)) > 0), "not increasing"
+        _require(np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14), "not linear in nodes")
+        _require(np.all(np.diff(p.antiderivative(u)) > 0), "not increasing")
     return CheckResult(f"linearity and monotonicity on {n_splines} random splines", {})
 
 
@@ -89,9 +96,9 @@ def check_forward_consistency():
     spline = exact_parameter_spline(200)
     t = assemble_t_matrix(data.interval, 200, data)
     worst = np.max(np.abs(t @ spline.node_values - data.y_values))
-    assert worst <= 3e-5, f"forward mismatch {worst:.2e} > 3e-5"
+    _require(worst <= 3e-5, f"forward mismatch {worst:.2e} > 3e-5")
     residual = residual_norm(spline, data)
-    assert residual <= 3e-5 * np.sqrt(np.pi / 2), f"exact-spline residual {residual:.2e}"
+    _require(residual <= 3e-5 * np.sqrt(np.pi / 2), f"exact-spline residual {residual:.2e}")
     return CheckResult(f"max forward mismatch {worst:.2e}", {})
 
 
@@ -99,11 +106,11 @@ def check_zero_noise_identity(m=200, n_elements=100, seed=2):
     """Zero noise leaves the data, and hence the operator, unchanged."""
     data = reference_exact_data(m)
     noisy = add_noise(data, 0.0, np.random.default_rng(seed))
-    assert np.array_equal(noisy.h_values, data.h_values), "h changed under zero noise"
-    assert np.array_equal(noisy.y_values, data.y_values), "y changed under zero noise"
+    _require(np.array_equal(noisy.h_values, data.h_values), "h changed under zero noise")
+    _require(np.array_equal(noisy.y_values, data.y_values), "y changed under zero noise")
     t0 = assemble_t_matrix(data.interval, n_elements, data)
     t1 = assemble_t_matrix(data.interval, n_elements, noisy)
-    assert np.array_equal(t0, t1), "operator changed under zero noise"
+    _require(np.array_equal(t0, t1), "operator changed under zero noise")
     return CheckResult("T matrices identical at delta=0", {})
 
 
@@ -117,7 +124,7 @@ def check_mapping_band(n_splines=30, seed=3):
         for _ in range(n_splines)
     ]
     lo, hi = min(ratios), max(ratios)
-    assert 0.98 <= lo and hi <= 1.214, f"ratio range [{lo:.4f}, {hi:.4f}]"
+    _require(0.98 <= lo and hi <= 1.214, f"ratio range [{lo:.4f}, {hi:.4f}]")
     return CheckResult(
         f"{n_splines} random splines in [{lo:.4f}, {hi:.4f}]", {"lo": lo, "hi": hi}
     )
@@ -157,7 +164,7 @@ def check_perturbation_stability(n_functions=10, deltas=(1e-2, 1e-5), seed=4):
                 worst = max(worst, norm / (delta * h2))
         constants[delta] = worst
     spread = max(constants.values()) / min(constants.values())
-    assert spread <= 4.0, f"constant drifts by factor {spread:.2f}"
+    _require(spread <= 4.0, f"constant drifts by factor {spread:.2f}")
     return CheckResult(
         f"perturbation constants {constants[deltas[0]]:.3f} vs {constants[deltas[-1]]:.3f}",
         {"constants": constants, "spread": spread},
@@ -173,7 +180,7 @@ def check_scale_operator(n_points=200, n_samples=50, seed=5):
     """
     op = build_scale_operator(reference_interval(), n_points)
     lam_min = op.eigenvalues[0]
-    assert lam_min >= 1.0 - 1e-10, f"lambda_min={lam_min!r}"
+    _require(lam_min >= 1.0 - 1e-10, f"lambda_min={lam_min!r}")
     rng = np.random.default_rng(seed)
     worst_margin, worst_l2 = np.inf, 0.0
     checked = 0
@@ -191,8 +198,8 @@ def check_scale_operator(n_points=200, n_samples=50, seed=5):
         m_norm = np.sqrt(u[1:] @ (op.mass * u[1:]))
         worst_l2 = max(worst_l2, abs(op.scale_norm(u, -1.0) - m_norm) / m_norm)
         checked += 1
-    assert worst_margin >= -1e-10, f"interpolation margin/RHS {worst_margin:.2e}"
-    assert worst_l2 <= 1e-12, f"|scale_norm(-1) - L2|/L2 = {worst_l2:.2e}"
+    _require(worst_margin >= -1e-10, f"interpolation margin/RHS {worst_margin:.2e}")
+    _require(worst_l2 <= 1e-12, f"|scale_norm(-1) - L2|/L2 = {worst_l2:.2e}")
     return CheckResult(
         f"interpolation and norm identities on {n_samples} random vectors",
         {"lam_min": lam_min, "worst_margin": worst_margin, "worst_l2": worst_l2},
@@ -205,7 +212,7 @@ def check_tikhonov_optimality(noise_seed=6, direction_seed=7, n_directions=10):
     problem = build_tikhonov_problem(data, 200)
     nodes = solve_tikhonov(problem, 1e-6).spline.node_values
     again = solve_tikhonov(problem, 1e-6).spline.node_values
-    assert np.allclose(nodes, again, rtol=1e-14, atol=0), "repeated solve differs"
+    _require(np.allclose(nodes, again, rtol=1e-14, atol=0), "repeated solve differs")
     base = tikhonov_objective(problem, nodes, 1e-6)
     rng = np.random.default_rng(direction_seed)
     for _ in range(n_directions):
@@ -213,7 +220,7 @@ def check_tikhonov_optimality(noise_seed=6, direction_seed=7, n_directions=10):
         step *= 1e-4 / np.linalg.norm(step)
         for sign in (+1, -1):
             perturbed = tikhonov_objective(problem, nodes + sign * step, 1e-6)
-            assert perturbed >= base - 1e-14, "objective decreased under perturbation"
+            _require(perturbed >= base - 1e-14, "objective decreased under perturbation")
     return CheckResult(f"optimality along {n_directions} random directions", {})
 
 
@@ -226,8 +233,8 @@ def check_residual_monotonicity(n_alphas=10, seed=8):
         result = solve_tikhonov(problem, alpha)
         nodes = result.spline.node_values
         pen_norm = float(np.sqrt(nodes @ problem.penalty @ nodes))
-        assert result.residual >= prev_res - 1e-13, "residual decreased"
-        assert pen_norm <= prev_norm + 1e-13, "penalized norm increased"
+        _require(result.residual >= prev_res - 1e-13, "residual decreased")
+        _require(pen_norm <= prev_norm + 1e-13, "penalized norm increased")
         prev_res, prev_norm = result.residual, pen_norm
     return CheckResult(f"monotone residual/penalty over {n_alphas}-point alpha grid", {})
 
@@ -237,7 +244,7 @@ def check_noiseless_recovery():
     data = reference_exact_data(500)
     result = solve_tikhonov(build_tikhonov_problem(data, 200), 1e-12)
     err0 = (result.spline - exact_parameter_spline(200)).l2_norm()
-    assert err0 <= 1e-3, f"noiseless err0 {err0:.2e} > 1e-3"
+    _require(err0 <= 1e-3, f"noiseless err0 {err0:.2e} > 1e-3")
     return CheckResult(f"noiseless err0 {err0:.2e}", {"err0": err0})
 
 
@@ -253,7 +260,7 @@ def check_naive_contrast(seeds=(9,)):
     curve = reference_curve()
     exact = exact_parameter_spline(200)
     clean_naive = (naive_reconstruction(data, curve, 200) - exact).l2_norm()
-    assert clean_naive <= 5e-3, f"noise-free naive err0 {clean_naive:.2e} > 5e-3"
+    _require(clean_naive <= 5e-3, f"noise-free naive err0 {clean_naive:.2e} > 5e-3")
     penalty = gradient_penalty_matrix(data.interval, 200) + (
         antiderivative_penalty_matrix(data.interval, 200)
     )
@@ -265,7 +272,7 @@ def check_naive_contrast(seeds=(9,)):
         tikh_errs.append((tikh.spline - exact).l2_norm())
     naive, tikhonov = float(np.median(naive_errs)), float(np.median(tikh_errs))
     contrast = naive / tikhonov
-    assert contrast >= 10, f"contrast only {contrast:.1f}x"
+    _require(contrast >= 10, f"contrast only {contrast:.1f}x")
     return CheckResult(
         f"contrast {contrast:.0f}x at delta=1e-2",
         {"contrast": contrast, "naive": naive, "tikhonov": tikhonov, "clean_naive": clean_naive},

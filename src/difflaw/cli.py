@@ -71,6 +71,17 @@ def _merged(args, config: dict, key: str, cast, default):
     return default
 
 
+def _grid_sizes(args, config: dict) -> tuple:
+    """Spline elements n and quadrature points m, checked before any work."""
+    n = _merged(args, config, "n", int, 200)
+    m = _merged(args, config, "m", int, 500)
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
+    if m < 2:
+        raise UsageError(f"--m must be >= 2, got {m}")
+    return n, m
+
+
 def _parse_deltas(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
@@ -107,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--out", help="output CSV of (u, a) pairs")
     rec.add_argument("--config", help="key=value config file; flags override it")
 
-    sub.add_parser("verify", help="run the module property suites")
+    sub.add_parser("verify", help="run the property checks at reduced sample sizes")
     return parser
 
 
@@ -119,6 +130,7 @@ def _cmd_study(args) -> int:
     out_dir = _merged(args, config_file, "out", str, None)
     if out_dir is None:
         raise UsageError("--out DIR is required (flag or config file)")
+    n, m = _grid_sizes(args, config_file)
     kwargs = {}
     if deltas is not None:
         kwargs["delta_list"] = deltas
@@ -127,8 +139,8 @@ def _cmd_study(args) -> int:
             alpha_rule=_merged(args, config_file, "alpha-rule", str, "quadratic"),
             trials=_merged(args, config_file, "trials", int, 10),
             base_seed=_merged(args, config_file, "seed", int, 0),
-            n_spline=_merged(args, config_file, "n", int, 200),
-            m_quad=_merged(args, config_file, "m", int, 500),
+            n_spline=n,
+            m_quad=m,
             out_dir=out_dir,
             **kwargs,
         )
@@ -178,12 +190,7 @@ def _cmd_reconstruct(args) -> int:
     if not 0 < alpha < np.inf:
         raise UsageError(f"--alpha must be finite and > 0, got {alpha}")
     seed = _merged(args, config_file, "seed", int, 0)
-    n = _merged(args, config_file, "n", int, 200)
-    m = _merged(args, config_file, "m", int, 500)
-    if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
-    if m < 2:
-        raise UsageError(f"--m must be >= 2, got {m}")
+    n, m = _grid_sizes(args, config_file)
 
     data = reference_exact_data(m)
     if delta > 0:

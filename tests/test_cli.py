@@ -88,6 +88,11 @@ def test_validation_errors_exit_1(tmp_path, capsys):
         assert main(valid + [flag, value]) == 1
         assert flag in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+    study = ["study", "--trials", "1", "--out", str(tmp_path / "study")]
+    for flag, value in [("--n", "0"), ("--m", "1")]:
+        assert main(study + [flag, value]) == 1
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
     capsys.readouterr()
 
 
@@ -207,6 +212,17 @@ def test_cli_import_skips_scipy_optimize():
     done = _run_python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_checks_fail_under_optimize():
+    # `python -O` strips assert statements; a failing property must still fail
+    probe = (
+        "import difflaw.checks as c; c.operator_norm_ratio = lambda *a: 2.0; "
+        "raise SystemExit(0 if c.run_all_checks() else 1)"
+    )
+    done = _run_python(["-O", "-c", probe])
+    assert done.returncode == 1
+    assert "FAIL operator mapping band: ratio range [2.0000, 2.0000]" in done.stdout
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
