@@ -97,9 +97,17 @@ def check_forward_consistency():
     t = assemble_t_matrix(data.interval, 200, data)
     worst = np.max(np.abs(t @ spline.node_values - data.y_values))
     _require(worst <= 3e-5, f"forward mismatch {worst:.2e} > 3e-5")
+    check_exact_spline_residual(data, spline)
+    return CheckResult(f"max forward mismatch {worst:.2e}", {})
+
+
+def check_exact_spline_residual(data=None, spline=None):
+    """The exact spline's data residual stays within 3e-5 * sqrt(pi/2)."""
+    data = reference_exact_data(500) if data is None else data
+    spline = exact_parameter_spline(200) if spline is None else spline
     residual = residual_norm(spline, data)
     _require(residual <= 3e-5 * np.sqrt(np.pi / 2), f"exact-spline residual {residual:.2e}")
-    return CheckResult(f"max forward mismatch {worst:.2e}", {})
+    return CheckResult(f"exact-spline residual {residual:.2e}", {"residual": residual})
 
 
 def check_zero_noise_identity(m=200, n_elements=100, seed=2):

@@ -100,7 +100,6 @@ def test_t_matrix_constant_spline(exact_data):
 
 
 def test_t_matrix_matches_exact_data():
-    # also bounds the residual norm of the exact spline
     checks.check_forward_consistency()
 
 
@@ -127,6 +126,10 @@ def test_residual_norm_zero_spline_and_homogeneity(exact_data):
 
     doubled = replace(exact_data, y_values=2.0 * exact_data.y_values)
     assert residual_norm(zero, doubled) == pytest.approx(2 * expected, rel=1e-14)
+
+
+def test_residual_norm_exact_spline(exact_data, exact_spline):
+    checks.check_exact_spline_residual(exact_data, exact_spline)
 
 
 def test_apply_t_matches_matrix(exact_data, exact_spline):
