@@ -108,11 +108,9 @@ def test_criterion_5_perturbation_linearity():
 
 def test_criterion_6_hilbert_scale_suite():
     criterion = "criterion 6 (discrete Hilbert-scale spectral suite)"
-    suite = _measure(
-        criterion, checks.check_scale_operator, n_points=400, n_samples=500, seed=55
-    )
-    factor = dl.build_scale_operator(dl.reference_interval(), 400).stiffness_factor
-    k = factor.T @ factor
+    op = dl.build_scale_operator(dl.reference_interval(), 400)
+    suite = _measure(criterion, checks.check_scale_operator, op=op, n_samples=500, seed=55)
+    k = op.stiffness_factor.T @ op.stiffness_factor
     sym_defect = np.max(np.abs(k - k.T)) / np.max(np.abs(k))
     detail = (
         f"symmetry defect {sym_defect:.1e}, lambda_min {suite['lam_min']!r}, "

@@ -50,8 +50,8 @@ def test_linear_function_rayleigh_quotient(op400):
     assert abs(u[1:] @ _stiffness(op400) @ u[1:] - energy) <= 1e-7
 
 
-def test_scale_norm_at_minus_one_is_l2():
-    checks.check_scale_operator(n_points=400, n_samples=20, seed=0)
+def test_scale_norm_at_minus_one_is_l2(op400):
+    checks.check_scale_operator(op400, n_samples=20, seed=0)
 
 
 def test_scale_norm_of_eigenvector(op400):
@@ -109,8 +109,8 @@ def test_apply_power_inverse_composition(op400):
     assert np.max(np.abs(roundtrip - u)) <= 1e-9 * np.max(np.abs(u))
 
 
-def test_interpolation_inequality_random():
-    checks.check_scale_operator(n_points=400, n_samples=500, seed=4)
+def test_interpolation_inequality_random(op400):
+    checks.check_scale_operator(op400, n_samples=500, seed=4)
 
 
 def test_interpolation_equality_on_eigenvector(op400):
