@@ -24,7 +24,6 @@ from .forward import (
     TraceData,
     add_noise,
     apply_t,
-    assemble_t_matrix,
     make_exact_data,
     mapping_weight,
     operator_norm_ratio,
@@ -45,7 +44,6 @@ from .splines import (
     ParameterSpline,
     StateInterval,
     antiderivative_l2_norm,
-    antiderivative_weights,
 )
 from .study import (
     ConvergenceRecord,
@@ -62,9 +60,7 @@ from .tikhonov import (
     TikhonovProblem,
     alpha_a_priori,
     alpha_discrepancy,
-    antiderivative_penalty_matrix,
     build_tikhonov_problem,
-    gradient_penalty_matrix,
     naive_reconstruction,
     solve_tikhonov,
     tikhonov_objective,
@@ -75,14 +71,12 @@ __all__ = [
     # splines
     "StateInterval",
     "ParameterSpline",
-    "antiderivative_weights",
     "antiderivative_l2_norm",
     # forward operator
     "CurveParametrization",
     "TraceData",
     "make_exact_data",
     "add_noise",
-    "assemble_t_matrix",
     "apply_t",
     "quadrature_norm",
     "residual_norm",
@@ -94,8 +88,6 @@ __all__ = [
     # tikhonov
     "TikhonovProblem",
     "ReconstructionResult",
-    "gradient_penalty_matrix",
-    "antiderivative_penalty_matrix",
     "build_tikhonov_problem",
     "solve_tikhonov",
     "tikhonov_objective",

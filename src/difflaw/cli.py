@@ -25,6 +25,7 @@ from .study import (
     INVERSE_CRIME_DELTA,
     RATE_LINES,
     StudyConfig,
+    _parse_alpha_rule,
     derive_seed,
     emit_csv,
     emit_plot_data,
@@ -141,7 +142,6 @@ def _cmd_study(args) -> int:
             base_seed=_merged(args, config_file, "seed", int, 0),
             n_spline=n,
             m_quad=m,
-            out_dir=out_dir,
             **kwargs,
         )
     except ValueError as exc:
@@ -153,8 +153,8 @@ def _cmd_study(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out / "records.csv")
-    rule_name = config.alpha_rule.partition(":")[0].replace("-", "_")
-    emit_plot_data(records, out / "study", RATE_LINES.get(rule_name))
+    rule_name, _ = _parse_alpha_rule(config.alpha_rule)
+    emit_plot_data(records, out / "study", RATE_LINES[rule_name])
 
     print(f"wrote {out / 'records.csv'} ({len(records)} records)")
     print("delta        median err0   median err1   median residual")

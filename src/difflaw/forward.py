@@ -2,10 +2,11 @@
 
 The forward operator maps the nodal values of the coefficient spline to the
 values of its antiderivative at the measured states h(s_i) along the
-measurement curve.  Because the antiderivative is exactly linear in the
-nodes, the operator is a dense matrix; the noisy-data variant simply uses
-the perturbed states, so operator and right-hand side are perturbed
-together.
+measurement curve.  It is applied through the spline's closed-form
+antiderivative (`apply_t`), which is exactly linear in the nodes; the
+Tikhonov solver assembles the same map as banded rows.  The noisy-data
+variant simply uses the perturbed states, so operator and right-hand side
+are perturbed together.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .splines import ParameterSpline, StateInterval, antiderivative_weights, antiderivative_l2_norm
+from .splines import ParameterSpline, StateInterval, antiderivative_l2_norm
 
 __all__ = [
     "CurveParametrization",
     "TraceData",
     "make_exact_data",
     "add_noise",
-    "assemble_t_matrix",
     "apply_t",
     "quadrature_norm",
     "residual_norm",
@@ -139,19 +139,6 @@ def add_noise(data: TraceData, delta: float, rng: np.random.Generator) -> TraceD
     )
 
 
-def assemble_t_matrix(
-    interval: StateInterval, n_elements: int, data: TraceData
-) -> np.ndarray:
-    """Matrix of the forward map: row i gives A(h_i) as weights on the nodes.
-
-    (matrix @ node_values)[i] equals the spline antiderivative evaluated at
-    data.h_values[i]; applying the operator is therefore exactly linear in
-    the nodal values.  Raises DomainError if any h value lies outside the
-    spline interval (clamping must have happened upstream).
-    """
-    return antiderivative_weights(interval, n_elements, data.h_values)
-
-
 def apply_t(spline: ParameterSpline, data: TraceData) -> np.ndarray:
     """Forward-map values A(h_i) for the given spline."""
     return spline.antiderivative(data.h_values)
@@ -214,8 +201,5 @@ def operator_norm_ratio(
     a_norm = antiderivative_l2_norm(spline)
     if a_norm == 0.0:
         raise ValueError("operator norm ratio undefined for the zero spline")
-    ds = (curve.s_hi - curve.s_lo) / m
-    s = curve.s_lo + (np.arange(m) + 0.5) * ds
-    h = np.asarray(curve.h(s), dtype=float)
-    ta = spline.antiderivative(h)
-    return quadrature_norm(ta, np.full(m, ds)) / a_norm
+    data = make_exact_data(curve, spline.antiderivative, m)
+    return quadrature_norm(data.y_values, data.quad_weights) / a_norm

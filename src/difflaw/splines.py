@@ -4,7 +4,9 @@ The coefficient is stored through its nodal values on a uniform grid over a
 state interval.  Evaluation is linear interpolation; the induced
 antiderivative A(u) = int_{u_min}^u a(w) dw is piecewise quadratic and is
 computed in closed form, so that A is exactly linear in the nodal values.
-All norms (L2, H1) are evaluated with element-wise exact quadrature.
+All norms (L2, H1, and the L2 norm of A) are evaluated with element-wise
+exact quadrature.  `_locate` and `_element_gauss_rule` are shared with the
+Tikhonov assembly, which writes A in the quadratic B-spline basis.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .exceptions import DomainError, GridMismatchError
 __all__ = [
     "StateInterval",
     "ParameterSpline",
-    "antiderivative_weights",
     "antiderivative_l2_norm",
 ]
 
@@ -86,43 +87,6 @@ def _element_gauss_rule(
     points = (left[:, None] + (gauss_x[None, :] + 1.0) * dx / 2.0).ravel()
     weights = np.tile(gauss_w * dx / 2.0, n_elements)
     return points, weights
-
-
-def antiderivative_weights(
-    interval: StateInterval, n_elements: int, u
-) -> np.ndarray:
-    """Row weights c(u) such that A(u) = c(u) @ node_values.
-
-    A is the antiderivative of the piecewise-linear spline with the given
-    nodal values, normalized by A(u_min) = 0.  The same kernel backs the
-    forward-operator assembly and the quadratic penalty forms, which keeps
-    every consumer exactly linear in the nodes.
-
-    Parameters
-    ----------
-    interval, n_elements : grid of the spline.
-    u : scalar or 1-d array of evaluation points inside the interval.
-
-    Returns
-    -------
-    (len(u), n_elements + 1) array of weights.
-    """
-    n = int(n_elements)
-    dx = interval.length / n
-    k, t = _locate(interval, n, u)
-    cols = np.arange(n + 1)
-    # full elements 0..k-1 contribute dx/2 * (a_j + a_{j+1}) each
-    weights = (dx * ((cols[None, :] >= 1) & (cols[None, :] <= (k - 1)[:, None]))).astype(
-        float
-    )
-    has_full = (k >= 1).astype(float)
-    weights[:, 0] += 0.5 * dx * has_full
-    rows = np.arange(k.size)
-    weights[rows, k] += 0.5 * dx * has_full
-    # partial element k: dx * (a_k (t - t^2/2) + a_{k+1} t^2/2)
-    weights[rows, k] += dx * (t - 0.5 * t * t)
-    weights[rows, k + 1] += dx * (0.5 * t * t)
-    return weights
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,9 +21,7 @@ from .reference import exact_parameter_spline, reference_exact_data
 from .tikhonov import (
     alpha_a_priori,
     alpha_discrepancy,
-    antiderivative_penalty_matrix,
     build_tikhonov_problem,
-    gradient_penalty_matrix,
     solve_tikhonov,
 )
 
@@ -88,7 +86,6 @@ class StudyConfig:
     base_seed: int = 0
     n_spline: int = 200
     m_quad: int = 500
-    out_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
@@ -122,11 +119,11 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _run_cell(delta, trial, config, exact_data, exact_spline, penalty, rule):
+def _run_cell(delta, trial, config, exact_data, exact_spline, rule):
     seed = derive_seed(config.base_seed, delta, trial)
     rng = np.random.default_rng(seed)
     data = add_noise(exact_data, delta, rng)
-    problem = build_tikhonov_problem(data, config.n_spline, penalty)
+    problem = build_tikhonov_problem(data, config.n_spline)
     name, param = rule
     if delta == 0.0:
         result = solve_tikhonov(problem, NOISELESS_ALPHA)
@@ -156,10 +153,6 @@ def run_study(config: StudyConfig, deltas=None) -> list[ConvergenceRecord]:
     rule = _parse_alpha_rule(config.alpha_rule)
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
-    interval = exact_data.interval
-    penalty = gradient_penalty_matrix(interval, config.n_spline) + (
-        antiderivative_penalty_matrix(interval, config.n_spline)
-    )
     if deltas is None:
         deltas = config.delta_list
     records = []
@@ -167,7 +160,7 @@ def run_study(config: StudyConfig, deltas=None) -> list[ConvergenceRecord]:
         for trial in range(config.trials):
             try:
                 records.append(
-                    _run_cell(delta, trial, config, exact_data, exact_spline, penalty, rule)
+                    _run_cell(delta, trial, config, exact_data, exact_spline, rule)
                 )
                 log.info(
                     "cell delta=%g trial=%d: err0=%.4g", delta, trial, records[-1].err0

@@ -2,42 +2,49 @@
 
 The reconstruction minimizes
 
-    ||T a - y||_W^2  +  alpha * (a^T K a  +  a^T P a)
+    ||T a - y||_W^2  +  alpha * (||a'||^2 + ||A||^2)
 
-over the nodal values a of the coefficient spline, where T is the forward
-matrix, W the curve quadrature weights, K the exact form of the squared L2
-norm of a' (equivalently of the second derivative of the antiderivative),
-and P the form of the squared L2 norm of the antiderivative itself.  The
-normalization A(u_min) = 0 is built into the antiderivative, so no
-constraint rows are needed.  The unique minimizer solves the normal
-equations (T^T W T + alpha (K + P)) a = T^T W y, whose system matrix is
-symmetric positive definite.
+over the nodal values a of the coefficient spline, where T maps a to its
+antiderivative A(u) = int_{u_min}^u a at the measured states, W holds the
+curve quadrature weights, and both penalty terms are exact L2 norms over
+the state interval (||a'|| = ||A''||).
 
-`build_tikhonov_problem(data, n_elements)` assembles T^T W T, T^T W y and
-K + P once per data set; alpha is chosen per solve, either directly with
-`solve_tikhonov(problem, alpha)` or by the discrepancy principle with
-`alpha_discrepancy(problem, delta)`, a bisection over log(alpha).  Also
-provided: the two a-priori parameter-choice rules and the naive
-differentiation reconstruction that serves as the instability baseline.
+The system is solved in the coefficients d_0..d_n of A in uniform
+quadratic B-splines, the local basis of A (de Boor; Eilers & Marx's
+P-splines).  On element k with local coordinate t,
+
+    A = d_{k-1} (1 - t)^2 / 2 + d_k (1 + 2t - 2t^2) / 2 + d_{k+1} t^2 / 2,
+
+and the normalization A(u_min) = 0 is d_{-1} = -d_0, folded into column 0.
+Every row of T and of the penalties then has three nonzeros, so the normal
+matrix T^T W T + alpha (K + P) is a symmetric positive definite band of
+half-width 2, factored by one banded Cholesky solve.  The nodal values are
+a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
+
+`build_tikhonov_problem(data, n_elements)` assembles the bands of T^T W T
+and K + P and the vector T^T W y once per data set; alpha is chosen per
+solve, either directly with `solve_tikhonov(problem, alpha)` or by the
+discrepancy principle with `alpha_discrepancy(problem, delta)`, a bisection
+over log(alpha).  Also provided: the two a-priori parameter-choice rules
+and the naive differentiation reconstruction that serves as the
+instability baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
-from .forward import CurveParametrization, TraceData, assemble_t_matrix, quadrature_norm
-from .splines import ParameterSpline, StateInterval, _element_gauss_rule, antiderivative_weights
+from .forward import CurveParametrization, TraceData, quadrature_norm
+from .splines import ParameterSpline, StateInterval, _element_gauss_rule, _locate
 
 __all__ = [
     "TikhonovProblem",
     "ReconstructionResult",
-    "gradient_penalty_matrix",
-    "antiderivative_penalty_matrix",
     "build_tikhonov_problem",
     "solve_tikhonov",
     "tikhonov_objective",
@@ -47,72 +54,82 @@ __all__ = [
 ]
 
 
-def gradient_penalty_matrix(interval: StateInterval, n_elements: int) -> np.ndarray:
-    """Form of ||a'||^2_{L2(I)}, exact for the piecewise-linear spline.
+def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of three weights from column `first`, with d_{-1} = -d_0 folded in.
 
-    a' is piecewise constant, so the form is sum_j (a_{j+1} - a_j)^2 / dx.
+    A row starting at column -1 is shifted to start at column 0; `weights`
+    is updated in place.
     """
-    n = int(n_elements)
-    dx = interval.length / n
-    diff = np.zeros((n, n + 1))
-    idx = np.arange(n)
-    diff[idx, idx] = -1.0
-    diff[idx, idx + 1] = 1.0
-    k = diff.T @ diff / dx
-    return 0.5 * (k + k.T)
+    edge = first < 0
+    weights[edge] = np.column_stack(
+        (weights[edge, 1] - weights[edge, 0], weights[edge, 2], np.zeros(edge.sum()))
+    )
+    return np.maximum(first, 0), weights
 
 
-def antiderivative_penalty_matrix(interval: StateInterval, n_elements: int) -> np.ndarray:
-    """Form of ||A||^2_{L2(I)}, exact for the piecewise-linear spline.
+def _value_rows(interval: StateInterval, n: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """Rows giving A(u) in the B-spline coefficients d."""
+    k, t = _locate(interval, n, u)
+    weights = np.column_stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2))
+    return _fold(k - 1, weights)
 
-    A is quadratic per element, A^2 quartic, so 3-point Gauss per element
-    integrates it exactly; its points are interior, so none can fall
-    outside the interval by rounding.
-    """
-    n = int(n_elements)
-    points, weights = _element_gauss_rule(interval, n)
-    rows = antiderivative_weights(interval, n, points)
-    p = rows.T @ (weights[:, None] * rows)
-    return 0.5 * (p + p.T)
+
+def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
+    """Row-by-row products with the coefficient vector d."""
+    first, weights = rows
+    padded = np.concatenate((d, [0.0, 0.0]))
+    return sum(weights[:, p] * padded[first + p] for p in range(3))
+
+
+def _gram_band(
+    rows: tuple[np.ndarray, np.ndarray], row_weights: np.ndarray, size: int
+) -> np.ndarray:
+    """Upper band of sum_i w_i r_i r_i^T in `solveh_banded` layout, (3, size)."""
+    first, weights = rows
+    band = np.zeros((3, size + 2))
+    for p in range(3):
+        for q in range(p, 3):
+            products = row_weights * weights[:, p] * weights[:, q]
+            band[2 + p - q] += np.bincount(first + q, products, minlength=size + 2)
+    return band[:, :size]
+
+
+def _band_form(band: np.ndarray, d: np.ndarray) -> float:
+    """d^T M d for the symmetric M whose upper band is `band`."""
+    return float(
+        band[2] @ d**2
+        + 2 * (band[1, 1:] @ (d[:-1] * d[1:]))
+        + 2 * (band[0, 2:] @ (d[:-2] * d[2:]))
+    )
+
+
+def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
+    return np.concatenate(([2 * d[0]], np.diff(d))) / dx
+
+
+def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
+    return dx * (np.cumsum(a) - a[0] / 2)
 
 
 @dataclass(frozen=True, eq=False)
 class TikhonovProblem:
-    """Normal equations of the least-squares problem for one noisy data set.
+    """Banded normal equations of the least-squares problem for one data set.
 
-    T^T W T and T^T W y are formed once, on construction; the parameter
-    alpha is given per solve.  The system matrix T^T W T + alpha (K + P) is
-    symmetric positive definite for alpha > 0 since P is definite on
-    splines.
+    Built once by `build_tikhonov_problem`; the parameter alpha is given per
+    solve.  The system matrix T^T W T + alpha (K + P) is symmetric positive
+    definite for alpha > 0 since P is definite on splines.
     """
 
-    t_matrix: np.ndarray             # (m, n+1)
-    y: np.ndarray                    # (m,)
-    quad_weights: np.ndarray         # (m,)
-    penalty: np.ndarray              # (n+1, n+1), K + P
-    interval: StateInterval
-    normal_matrix: np.ndarray = field(init=False, repr=False)  # T^T W T
-    normal_rhs: np.ndarray = field(init=False, repr=False)     # T^T W y
-
-    def __post_init__(self):
-        m, nn = self.t_matrix.shape
-        if self.y.shape != (m,) or self.quad_weights.shape != (m,):
-            raise ValueError("y and quad_weights must match the matrix row count")
-        if self.penalty.shape != (nn, nn):
-            raise ValueError(f"penalty must be {nn}x{nn}")
-        scale = max(np.max(np.abs(self.penalty)), 1.0)
-        defect = np.max(np.abs(self.penalty - self.penalty.T)) / scale
-        if defect > 1e-12:
-            raise ValueError(f"penalty symmetry defect {defect:.2e} > 1e-12")
-        w = self.quad_weights
-        object.__setattr__(
-            self, "normal_matrix", self.t_matrix.T @ (self.t_matrix * w[:, None])
-        )
-        object.__setattr__(self, "normal_rhs", (w * self.y) @ self.t_matrix)
+    data: TraceData
+    n_elements: int
+    t_rows: tuple              # (first column, (m, 3) weights) of T in d
+    normal_band: np.ndarray    # (3, n+1) upper band of T^T W T
+    penalty_band: np.ndarray   # (3, n+1) upper band of K + P
+    normal_rhs: np.ndarray     # (n+1,) T^T W y
 
     @property
-    def n_elements(self) -> int:
-        return self.t_matrix.shape[1] - 1
+    def spacing(self) -> float:
+        return self.data.interval.length / self.n_elements
 
 
 @dataclass(frozen=True)
@@ -128,48 +145,60 @@ class ReconstructionResult:
             raise ValueError("residual must be >= 0")
 
 
-def build_tikhonov_problem(
-    data: TraceData, n_elements: int, penalty: Optional[np.ndarray] = None
-) -> TikhonovProblem:
-    """Assemble the normal equations for `data` on the n-element spline grid.
+def build_tikhonov_problem(data: TraceData, n_elements: int) -> TikhonovProblem:
+    """Assemble the banded normal equations for `data` on the n-element grid.
 
-    The penalty K + P depends only on (interval, n_elements); a precomputed
-    one can be passed in when assembling many problems on one grid.
+    Raises DomainError if any state lies outside the spline interval
+    (clamping must have happened upstream).
     """
+    n = int(n_elements)
     interval = data.interval
-    if penalty is None:
-        penalty = gradient_penalty_matrix(interval, n_elements) + (
-            antiderivative_penalty_matrix(interval, n_elements)
-        )
+    points, gauss_weights = _element_gauss_rule(interval, n)
+    dx = interval.length / n
+    # K: (a_{k+1} - a_k)^2 / dx = (d_{k+1} - 2 d_k + d_{k-1})^2 / dx^3
+    k_rows = _fold(np.arange(n) - 1, np.tile([1.0, -2.0, 1.0], (n, 1)))
+    p_rows = _value_rows(interval, n, points)
+    penalty_rows = tuple(np.concatenate(pair) for pair in zip(k_rows, p_rows))
+    penalty_weights = np.concatenate((np.full(n, dx**-3), gauss_weights))
+
+    t_rows = _value_rows(interval, n, data.h_values)
+    first, weights = t_rows
+    wy = data.quad_weights * data.y_values
+    rhs = sum(
+        np.bincount(first + p, wy * weights[:, p], minlength=n + 3) for p in range(3)
+    )
     return TikhonovProblem(
-        t_matrix=assemble_t_matrix(interval, n_elements, data),
-        y=np.asarray(data.y_values, dtype=float),
-        quad_weights=np.asarray(data.quad_weights, dtype=float),
-        penalty=penalty,
-        interval=interval,
+        data=data,
+        n_elements=n,
+        t_rows=t_rows,
+        normal_band=_gram_band(t_rows, data.quad_weights, n + 1),
+        penalty_band=_gram_band(penalty_rows, penalty_weights, n + 1),
+        normal_rhs=rhs[: n + 1],
     )
 
 
 def _solve(problem: TikhonovProblem, alpha: float) -> tuple[np.ndarray, float]:
-    """Cholesky solve of the normal equations at alpha: (nodes, residual)."""
+    """Banded Cholesky solve of the normal equations at alpha: (nodes, residual)."""
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     try:
-        factor = cho_factor(problem.normal_matrix + alpha * problem.penalty)
+        d = solveh_banded(
+            problem.normal_band + alpha * problem.penalty_band, problem.normal_rhs
+        )
     except LinAlgError as exc:
         raise NumericalError(
             f"normal-equation factorization failed at alpha={alpha!r} "
-            f"(size {problem.penalty.shape[0]}); system not positive definite: {exc}"
+            f"(size {problem.n_elements + 1}); system not positive definite: {exc}"
         ) from exc
-    nodes = cho_solve(factor, problem.normal_rhs)
-    residual = quadrature_norm(problem.t_matrix @ nodes - problem.y, problem.quad_weights)
-    return nodes, residual
+    data = problem.data
+    residual = quadrature_norm(_apply(problem.t_rows, d) - data.y_values, data.quad_weights)
+    return _nodes(d, problem.spacing), residual
 
 
 def solve_tikhonov(problem: TikhonovProblem, alpha: float) -> ReconstructionResult:
     """Unique minimizer of the Tikhonov functional at parameter alpha > 0."""
     nodes, residual = _solve(problem, alpha)
-    spline = ParameterSpline(problem.interval, nodes)
+    spline = ParameterSpline(problem.data.interval, nodes)
     return ReconstructionResult(spline=spline, alpha=float(alpha), residual=residual)
 
 
@@ -177,10 +206,11 @@ def tikhonov_objective(
     problem: TikhonovProblem, node_values: np.ndarray, alpha: float
 ) -> float:
     """Value of the Tikhonov functional at the given nodal values."""
-    a = np.asarray(node_values, dtype=float)
-    misfit = problem.t_matrix @ a - problem.y
+    d = _coefficients(np.asarray(node_values, dtype=float), problem.spacing)
+    misfit = _apply(problem.t_rows, d) - problem.data.y_values
     return float(
-        np.sum(problem.quad_weights * misfit**2) + alpha * (a @ problem.penalty @ a)
+        np.sum(problem.data.quad_weights * misfit**2)
+        + alpha * _band_form(problem.penalty_band, d)
     )
 
 
@@ -257,7 +287,7 @@ def alpha_discrepancy(
             f"[{target_lo:.3e}, {target_hi:.3e}] within {max_iter} iterations"
         )
     alpha, nodes, res = best
-    spline = ParameterSpline(problem.interval, nodes)
+    spline = ParameterSpline(problem.data.interval, nodes)
     return alpha, ReconstructionResult(spline=spline, alpha=alpha, residual=res)
 
 

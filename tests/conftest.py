@@ -17,15 +17,6 @@ def exact_spline():
 
 
 @pytest.fixture(scope="session")
-def penalty_matrices():
-    interval = dl.reference_interval()
-    return (
-        dl.gradient_penalty_matrix(interval, 200),
-        dl.antiderivative_penalty_matrix(interval, 200),
-    )
-
-
-@pytest.fixture(scope="session")
 def quadratic_records():
     config = dl.StudyConfig(
         delta_list=RATE_DELTAS, alpha_rule="quadratic", trials=10, base_seed=0

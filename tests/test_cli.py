@@ -11,34 +11,27 @@ from difflaw.cli import main
 from difflaw.study import read_records_csv
 
 
+def _refs_rates(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return {series: float(rate) for series, rate, _, _ in rows}
+
+
 def test_study_writes_outputs(tmp_path, capsys):
+    args = ["study", "--deltas", "1e-2,1e-3", "--trials", "2", "--seed", "3"]
+    args += ["--n", "100", "--m", "200"]
     out = tmp_path / "run"
-    code = main(
-        [
-            "study",
-            "--alpha-rule",
-            "quadratic",
-            "--deltas",
-            "1e-2,1e-3",
-            "--trials",
-            "2",
-            "--seed",
-            "3",
-            "--n",
-            "100",
-            "--m",
-            "200",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    assert main(args + ["--alpha-rule", "quadratic", "--out", str(out)]) == 0
     records = read_records_csv(out / "records.csv")
     assert len(records) == 4
     assert (out / "study.series.csv").exists()
-    assert (out / "study.refs.csv").exists()
+    assert _refs_rates(out / "study.refs.csv")["err0"] == 0.5
     captured = capsys.readouterr().out
     assert "median err0" in captured
+    # the reference lines follow the rule the study ran, spaces and all
+    spaced = tmp_path / "spaced"
+    assert main(args + ["--alpha-rule", "eight-fifths :0.1", "--out", str(spaced)]) == 0
+    assert _refs_rates(spaced / "study.refs.csv")["err0"] == 0.6
+    capsys.readouterr()
 
 
 def test_study_deterministic_bytes(tmp_path):
@@ -177,6 +170,14 @@ def test_reconstruct_small_grid(tmp_path, capsys):
     assert code == 0
     assert len(out.read_text().splitlines()) == 7
     capsys.readouterr()
+    # a grid far beyond what a dense normal matrix could hold
+    fine = ["reconstruct", "--delta", "1e-3", "--alpha", "1e-6", "--n", "20000"]
+    assert main(fine + ["--m", "40000", "--out", str(tmp_path / "fine.csv")]) == 0
+    summary = dict(
+        field.split("=") for field in capsys.readouterr().out.split() if "=" in field
+    )
+    assert 7.24e-3 / 3 <= float(summary["err0"]) <= 3 * 7.24e-3
+    assert 1.146 / 1.25 <= float(summary["residual"]) / 1e-3 <= 1.146 * 1.25
 
 
 def test_reconstruct_noise_free(tmp_path, capsys):

@@ -7,7 +7,6 @@ from difflaw import (
     ParameterSpline,
     add_noise,
     apply_t,
-    assemble_t_matrix,
     checks,
     exact_antiderivative,
     make_exact_data,
@@ -91,12 +90,13 @@ def test_add_noise_deterministic(exact_data):
 
 
 def test_t_matrix_constant_spline(exact_data):
-    t = assemble_t_matrix(exact_data.interval, 50, exact_data)
-    ones = np.ones(51)
+    interval = exact_data.interval
     np.testing.assert_allclose(
-        t @ ones, exact_data.h_values - exact_data.interval.u_min, rtol=1e-13
+        apply_t(ParameterSpline(interval, np.ones(51)), exact_data),
+        exact_data.h_values - interval.u_min,
+        rtol=1e-13,
     )
-    assert np.all(t @ np.zeros(51) == 0.0)
+    assert np.all(apply_t(ParameterSpline(interval, np.zeros(51)), exact_data) == 0.0)
 
 
 def test_t_matrix_matches_exact_data():
@@ -105,10 +105,13 @@ def test_t_matrix_matches_exact_data():
 
 def test_t_matrix_linearity(exact_data):
     rng = np.random.default_rng(3)
-    t = assemble_t_matrix(exact_data.interval, 80, exact_data)
     p, q = rng.normal(size=81), rng.normal(size=81)
+
+    def t(nodes):
+        return apply_t(ParameterSpline(exact_data.interval, nodes), exact_data)
+
     np.testing.assert_allclose(
-        t @ (2.0 * p - 0.5 * q), 2.0 * (t @ p) - 0.5 * (t @ q), rtol=1e-12, atol=1e-15
+        t(2.0 * p - 0.5 * q), 2.0 * t(p) - 0.5 * t(q), rtol=1e-12, atol=1e-15
     )
 
 
@@ -130,13 +133,6 @@ def test_residual_norm_zero_spline_and_homogeneity(exact_data):
 
 def test_residual_norm_exact_spline(exact_data, exact_spline):
     checks.check_exact_spline_residual(exact_data, exact_spline)
-
-
-def test_apply_t_matches_matrix(exact_data, exact_spline):
-    t = assemble_t_matrix(exact_data.interval, 200, exact_data)
-    np.testing.assert_allclose(
-        apply_t(exact_spline, exact_data), t @ exact_spline.node_values, rtol=1e-12
-    )
 
 
 def test_mapping_weight_reference_values():

@@ -1,5 +1,7 @@
 """Property-based tests over grid sizes and state intervals."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,9 @@ from difflaw import (
     ParameterSpline,
     StateInterval,
     antiderivative_l2_norm,
-    antiderivative_penalty_matrix,
-    antiderivative_weights,
+    build_tikhonov_problem,
+    reference_exact_data,
+    tikhonov_objective,
 )
 
 intervals = st.builds(
@@ -18,29 +21,31 @@ intervals = st.builds(
     st.floats(1e-3, 10.0),
 )
 seeds = st.integers(0, 2**32 - 1)
+TEMPLATE = reference_exact_data(52)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(interval=intervals, n=st.integers(1, 2000), seed=seeds)
-def test_antiderivative_weights_match_spline(interval, n, seed):
+def test_objective_matches_spline_forms(interval, n, seed):
+    # the banded system's objective against the nodal-basis forms: the
+    # misfit through ParameterSpline.antiderivative, the penalty
+    # ||a'||^2 + ||A||^2 from the spline's exact norms
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=n + 1)
-    u = np.concatenate(
+    h = np.concatenate(
         ([interval.u_min, interval.u_max], rng.uniform(interval.u_min, interval.u_max, 50))
     )
-    rows = antiderivative_weights(interval, n, u)
-    expected = ParameterSpline(interval, a).antiderivative(u)
-    tol = 1e-12 * interval.length * np.max(np.abs(a))
-    assert np.max(np.abs(rows @ a - expected)) <= tol
-
-
-@settings(derandomize=True, deadline=None, max_examples=40)
-@given(interval=intervals, n=st.integers(1, 300), seed=seeds)
-def test_antiderivative_penalty_is_exact_psd_form(interval, n, seed):
-    penalty = antiderivative_penalty_matrix(interval, n)
-    assert np.array_equal(penalty, penalty.T)
-    eigenvalues = np.linalg.eigvalsh(penalty)
-    assert eigenvalues[0] >= -1e-12 * eigenvalues[-1]
-    a = np.random.default_rng(seed).normal(size=n + 1)
-    exact = antiderivative_l2_norm(ParameterSpline(interval, a)) ** 2
-    assert abs(a @ penalty @ a - exact) <= 1e-10 * exact
+    data = replace(
+        TEMPLATE,
+        interval=interval,
+        h_values=h,
+        y_values=rng.normal(size=h.size),
+        quad_weights=rng.uniform(0.1, 2.0, h.size),
+    )
+    a = rng.normal(size=n + 1)
+    alpha = 10.0 ** rng.uniform(-8, 2)
+    spline = ParameterSpline(interval, a)
+    misfit = spline.antiderivative(h) - data.y_values
+    penalty = np.sum(np.diff(a) ** 2) / spline.spacing + antiderivative_l2_norm(spline) ** 2
+    expected = np.sum(data.quad_weights * misfit**2) + alpha * penalty
+    problem = build_tikhonov_problem(data, n)
+    assert abs(tikhonov_objective(problem, a, alpha) - expected) <= 1e-10 * expected

@@ -7,7 +7,6 @@ from difflaw import (
     ParameterSpline,
     StateInterval,
     antiderivative_l2_norm,
-    antiderivative_weights,
     checks,
     reference_interval,
 )
@@ -182,18 +181,6 @@ def test_node_values_are_read_only():
     spline = ParameterSpline(StateInterval(0.0, 1.0), [1.0, 2.0])
     with pytest.raises(ValueError):
         spline.node_values[0] = 5.0
-
-
-def test_antiderivative_weights_match_antiderivative():
-    rng = np.random.default_rng(105)
-    interval = reference_interval()
-    nodes = rng.normal(size=41)
-    spline = ParameterSpline(interval, nodes)
-    u = rng.uniform(interval.u_min, interval.u_max, 64)
-    rows = antiderivative_weights(interval, 40, u)
-    np.testing.assert_allclose(
-        rows @ nodes, spline.antiderivative(u), rtol=1e-12, atol=1e-15
-    )
 
 
 def test_antiderivative_l2_norm_exact_on_constant():
