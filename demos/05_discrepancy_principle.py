@@ -20,12 +20,12 @@ for delta in (1e-2, 1e-3):
     noisy = dl.add_noise(data, delta, np.random.default_rng(1))
     problem = dl.build_tikhonov_problem(noisy, 200)
 
-    alpha, result = dl.alpha_discrepancy(problem, delta, tau=1.5)
+    result = dl.alpha_discrepancy(problem, delta, tau=1.5)
     apriori = dl.solve_tikhonov(problem, delta**2)
 
     print(f"delta = {delta:g}")
     print(
-        f"  discrepancy: alpha = {alpha:.3e}, residual = {result.residual:.3e} "
+        f"  discrepancy: alpha = {result.alpha:.3e}, residual = {result.residual:.3e} "
         f"(target [{1.5 * delta:.1e}, {2.25 * delta:.1e}]), "
         f"err0 = {(result.spline - exact).l2_norm():.4f}"
     )

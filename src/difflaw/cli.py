@@ -1,8 +1,9 @@
 """Command-line entry points: study sweeps, single reconstructions, verify.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O
-failure.  A flat key=value config file can provide defaults for any flag;
-explicit flags win.  The only environment variable, DIFFLAW_VERBOSE,
+failure.  A flat key=value config file can provide defaults for any
+value-taking flag of its subcommand; explicit flags win, and any other key
+is a validation error.  The only environment variable, DIFFLAW_VERBOSE,
 controls log verbosity and nothing else.
 """
 
@@ -59,35 +60,30 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merged(args, config: dict, key: str, cast, default):
-    """CLI value if given, else config-file value, else default."""
-    cli_value = getattr(args, key.replace("-", "_"))
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key}={config[key]!r}: {exc}") from exc
-    return default
+def _config_defaults(command: argparse.ArgumentParser, path: str) -> dict:
+    """Config-file values keyed by flag dest; each key must name a value flag."""
+    defaults = {}
+    for key, value in _read_config(path).items():
+        action = command._option_string_actions.get(f"--{key}")
+        if action is None or action.nargs == 0:
+            raise UsageError(f"{path}: {key!r} is not a value-taking flag of {command.prog}")
+        defaults[action.dest] = value
+    return defaults
 
 
-def _grid_sizes(args, config: dict) -> tuple:
+def _check_grid_sizes(args) -> None:
     """Spline elements n and quadrature points m, checked before any work."""
-    n = _merged(args, config, "n", int, 200)
-    m = _merged(args, config, "m", int, 500)
-    if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
-    if m < 2:
-        raise UsageError(f"--m must be >= 2, got {m}")
-    return n, m
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, got {args.n}")
+    if args.m < 2:
+        raise UsageError(f"--m must be >= 2, got {args.m}")
 
 
 def _parse_deltas(text: str) -> tuple:
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise UsageError(f"bad --deltas value {text!r}: {exc}") from exc
+        raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,12 +92,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     study = sub.add_parser("study", help="run a noise-level sweep", add_help=True)
-    study.add_argument("--alpha-rule", help="quadratic | eight-fifths[:c] | discrepancy[:tau]")
-    study.add_argument("--deltas", help="comma-separated noise levels, decreasing")
-    study.add_argument("--trials", type=int, help="noise draws per level (default 10)")
-    study.add_argument("--seed", type=int, help="base seed (default 0)")
-    study.add_argument("--n", type=int, help="spline elements (default 200)")
-    study.add_argument("--m", type=int, help="quadrature points (default 500)")
+    study.add_argument(
+        "--alpha-rule",
+        default=StudyConfig.alpha_rule,
+        help="quadratic | eight-fifths[:c] | discrepancy[:tau]",
+    )
+    study.add_argument(
+        "--deltas",
+        type=_parse_deltas,
+        default=StudyConfig.delta_list,
+        help="comma-separated noise levels, decreasing",
+    )
+    study.add_argument("--trials", type=int, default=10, help="noise draws per level (default 10)")
+    study.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    study.add_argument("--n", type=int, default=200, help="spline elements (default 200)")
+    study.add_argument("--m", type=int, default=500, help="quadrature points (default 500)")
     study.add_argument("--out", help="output directory for CSV and plot data")
     study.add_argument("--config", help="key=value config file; flags override it")
     study.add_argument(
@@ -113,44 +118,34 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="single reconstruction at fixed alpha")
     rec.add_argument("--delta", type=float, help="noise level (0 for exact data)")
     rec.add_argument("--alpha", type=float, help="regularization parameter")
-    rec.add_argument("--seed", type=int, help="noise seed (default 0)")
-    rec.add_argument("--n", type=int, help="spline elements (default 200)")
-    rec.add_argument("--m", type=int, help="quadrature points (default 500)")
+    rec.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
+    rec.add_argument("--n", type=int, default=200, help="spline elements (default 200)")
+    rec.add_argument("--m", type=int, default=500, help="quadrature points (default 500)")
     rec.add_argument("--out", help="output CSV of (u, a) pairs")
     rec.add_argument("--config", help="key=value config file; flags override it")
 
     sub.add_parser("verify", help="run the property checks at reduced sample sizes")
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
 def _cmd_study(args) -> int:
-    config_file = _read_config(args.config) if args.config else {}
-    deltas = _merged(args, config_file, "deltas", _parse_deltas, None)
-    if isinstance(deltas, str):
-        deltas = _parse_deltas(deltas)
-    out_dir = _merged(args, config_file, "out", str, None)
-    if out_dir is None:
+    if args.out is None:
         raise UsageError("--out DIR is required (flag or config file)")
-    n, m = _grid_sizes(args, config_file)
-    kwargs = {}
-    if deltas is not None:
-        kwargs["delta_list"] = deltas
-    try:
-        config = StudyConfig(
-            alpha_rule=_merged(args, config_file, "alpha-rule", str, "quadratic"),
-            trials=_merged(args, config_file, "trials", int, 10),
-            base_seed=_merged(args, config_file, "seed", int, 0),
-            n_spline=n,
-            m_quad=m,
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    _check_grid_sizes(args)
+    config = StudyConfig(
+        delta_list=args.deltas,
+        alpha_rule=args.alpha_rule,
+        trials=args.trials,
+        base_seed=args.seed,
+        n_spline=args.n,
+        m_quad=args.m,
+    )
 
     records = run_study(config)
     if not records:
         raise NumericalError("every study cell failed")
-    out = Path(out_dir)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out / "records.csv")
     rule_name, _ = _parse_alpha_rule(config.alpha_rule)
@@ -179,30 +174,24 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    config_file = _read_config(args.config) if args.config else {}
-    delta = _merged(args, config_file, "delta", float, None)
-    alpha = _merged(args, config_file, "alpha", float, None)
-    out = _merged(args, config_file, "out", str, None)
-    if delta is None or alpha is None or out is None:
+    delta, alpha = args.delta, args.alpha
+    if delta is None or alpha is None or args.out is None:
         raise UsageError("reconstruct requires --delta, --alpha and --out")
     if not 0 <= delta < np.inf:
         raise UsageError(f"--delta must be finite and >= 0, got {delta}")
     if not 0 < alpha < np.inf:
         raise UsageError(f"--alpha must be finite and > 0, got {alpha}")
-    seed = _merged(args, config_file, "seed", int, 0)
-    n, m = _grid_sizes(args, config_file)
+    _check_grid_sizes(args)
 
-    data = reference_exact_data(m)
-    if delta > 0:
-        rng = np.random.default_rng(derive_seed(seed, delta, 0))
-        data = add_noise(data, delta, rng)
-    result = solve_tikhonov(build_tikhonov_problem(data, n), alpha)
-    diff = result.spline - exact_parameter_spline(n)
+    rng = np.random.default_rng(derive_seed(args.seed, delta, 0))
+    data = add_noise(reference_exact_data(args.m), delta, rng)
+    result = solve_tikhonov(build_tikhonov_problem(data, args.n), alpha)
+    diff = result.spline - exact_parameter_spline(args.n)
     lines = ["u,a"]
     for u, a in zip(result.spline.nodes, result.spline.node_values):
         lines.append(f"{float(u)!r},{float(a)!r}")
-    Path(out).write_text("\n".join(lines) + "\n", newline="\n")
-    print(f"wrote {out}")
+    Path(args.out).write_text("\n".join(lines) + "\n", newline="\n")
+    print(f"wrote {args.out}")
     print(
         f"delta={delta:g} alpha={alpha:g} residual={result.residual:.6g} "
         f"err0={diff.l2_norm():.6g} err1={diff.h1_norm():.6g}"
@@ -216,6 +205,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.config))
+            args = parser.parse_args(argv)
         if args.command == "study":
             return _cmd_study(args)
         if args.command == "reconstruct":

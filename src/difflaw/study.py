@@ -46,10 +46,6 @@ CSV_HEADER = "delta,alpha,trial,seed,err0,err1,residual"
 # excluded from rate fits unless explicitly re-included
 INVERSE_CRIME_DELTA = 1e-6
 
-# regularization used for noise-free debug cells, where the a-priori rules
-# would degenerate to alpha = 0
-NOISELESS_ALPHA = 1e-12
-
 # theoretical slopes of the reference lines in study.refs.csv, per alpha rule
 RATE_LINES = {
     "quadratic": {"err0": 0.5, "err1": 0.0, "residual": 1.0},
@@ -125,10 +121,8 @@ def _run_cell(delta, trial, config, exact_data, exact_spline, rule):
     data = add_noise(exact_data, delta, rng)
     problem = build_tikhonov_problem(data, config.n_spline)
     name, param = rule
-    if delta == 0.0:
-        result = solve_tikhonov(problem, NOISELESS_ALPHA)
-    elif name == "discrepancy":
-        _, result = alpha_discrepancy(problem, delta, tau=param)
+    if name == "discrepancy":
+        result = alpha_discrepancy(problem, delta, tau=param)
     else:
         result = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
     diff = result.spline - exact_spline
@@ -143,20 +137,17 @@ def _run_cell(delta, trial, config, exact_data, exact_spline, rule):
     )
 
 
-def run_study(config: StudyConfig, deltas=None) -> list[ConvergenceRecord]:
+def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Run all (delta, trial) cells and return records sorted by (delta desc, trial).
 
-    `deltas` overrides config.delta_list; it may contain 0.0 for noise-free
-    debug cells (regularized at a fixed tiny alpha).  A failing cell is
+    Every cell chooses alpha by config.alpha_rule.  A failing cell is
     reported as a warning with diagnostics and skipped; the study continues.
     """
     rule = _parse_alpha_rule(config.alpha_rule)
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
-    if deltas is None:
-        deltas = config.delta_list
     records = []
-    for delta in deltas:
+    for delta in config.delta_list:
         for trial in range(config.trials):
             try:
                 records.append(

@@ -25,15 +25,16 @@ a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
 and K + P and the vector T^T W y once per data set; alpha is chosen per
 solve, either directly with `solve_tikhonov(problem, alpha)` or by the
 discrepancy principle with `alpha_discrepancy(problem, delta)`, a bisection
-over log(alpha).  Also provided: the two a-priori parameter-choice rules
-and the naive differentiation reconstruction that serves as the
+over log(alpha) that stops at the lower edge of the residual bracket
+[tau delta, 1.5 tau delta].  Both return a `ReconstructionResult`, which
+carries the alpha used.  Also provided: the two a-priori parameter-choice
+rules and the naive differentiation reconstruction that serves as the
 instability baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
@@ -52,6 +53,11 @@ __all__ = [
     "alpha_discrepancy",
     "naive_reconstruction",
 ]
+
+# log-bisection range of the discrepancy search and the ratio hi/lo it stops at
+ALPHA_MIN = 1e-16
+ALPHA_MAX = 1e4
+ALPHA_RATIO = 1.0005
 
 
 def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,65 +236,60 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
 
 
 def alpha_discrepancy(
-    problem: TikhonovProblem,
-    delta: float,
-    tau: float = 1.5,
-    alpha_min: float = 1e-16,
-    alpha_max: float = 1e4,
-    max_iter: int = 200,
-) -> tuple[float, ReconstructionResult]:
+    problem: TikhonovProblem, delta: float, tau: float = 1.5
+) -> ReconstructionResult:
     """Choose alpha a-posteriori so that the residual lands in [tau*d, 1.5*tau*d].
 
-    The residual is nondecreasing in alpha, so bisection on log(alpha)
-    converges to the lower edge of the bracket; the returned solution is
-    the smallest alpha found whose residual lies inside it.
+    The residual is nondecreasing in alpha and tends to ||y||_W as alpha
+    grows, so ||y||_W < tau*delta means no alpha can reach the bracket.
+    Otherwise bisection on log(alpha) over [ALPHA_MIN, ALPHA_MAX] keeps as
+    its upper end the smallest tried alpha whose residual reaches tau*delta,
+    and stops when the ends are within the ratio ALPHA_RATIO: the returned
+    solution sits at the lower edge of the bracket.
 
-    Raises NoiseLevelTooSmallError if the residual at alpha_min already
-    exceeds the bracket, DataTooRoughError if the residual at alpha_max
-    stays below it.
+    Raises NoiseLevelTooSmallError if the residual at ALPHA_MIN already
+    exceeds the bracket, DataTooRoughError if ||y||_W stays below it, and
+    NumericalError if the upper end never lands inside it.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    if tau <= 1:
-        raise ValueError(f"tau must be > 1, got {tau}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    if not 1 < tau < np.inf:
+        raise ValueError(f"tau must be finite and > 1, got {tau}")
     target_lo = tau * delta
     target_hi = 1.5 * tau * delta
 
-    _, res_min = _solve(problem, alpha_min)
+    data = problem.data
+    data_norm = quadrature_norm(data.y_values, data.quad_weights)
+    if data_norm < target_lo:
+        raise DataTooRoughError(
+            f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "
+            f"is below {target_lo:.3e}; the noise level {delta:g} exceeds the data scale"
+        )
+    _, res_min = _solve(problem, ALPHA_MIN)
     if res_min > target_hi:
         raise NoiseLevelTooSmallError(
-            f"residual {res_min:.3e} at alpha={alpha_min:g} already exceeds "
+            f"residual {res_min:.3e} at alpha={ALPHA_MIN:g} already exceeds "
             f"{target_hi:.3e}; the claimed noise level {delta:g} is below what "
             "the data can be fitted to"
         )
-    _, res_max = _solve(problem, alpha_max)
-    if res_max < target_lo:
-        raise DataTooRoughError(
-            f"residual {res_max:.3e} at alpha={alpha_max:g} is still below "
-            f"{target_lo:.3e}; the noise level {delta:g} exceeds the data scale"
-        )
 
-    lo, hi = alpha_min, alpha_max
-    best: Optional[tuple[float, np.ndarray, float]] = None
-    for _ in range(max_iter):
+    lo, hi = ALPHA_MIN, ALPHA_MAX
+    upper = None  # (nodes, residual) at hi once a tried alpha has reached tau*delta
+    while hi / lo >= ALPHA_RATIO:
         mid = float(np.sqrt(lo * hi))
         nodes, res = _solve(problem, mid)
-        if target_lo <= res <= target_hi and (best is None or mid < best[0]):
-            best = (mid, nodes, res)
         if res < target_lo:
             lo = mid
         else:
-            hi = mid
-        if hi / lo < 1.0005 and best is not None:
-            break
-    if best is None:
+            hi, upper = mid, (nodes, res)
+    if upper is None or upper[1] > target_hi:
         raise NumericalError(
             "discrepancy bisection did not land in the residual bracket "
-            f"[{target_lo:.3e}, {target_hi:.3e}] within {max_iter} iterations"
+            f"[{target_lo:.3e}, {target_hi:.3e}]"
         )
-    alpha, nodes, res = best
-    spline = ParameterSpline(problem.data.interval, nodes)
-    return alpha, ReconstructionResult(spline=spline, alpha=alpha, residual=res)
+    nodes, res = upper
+    spline = ParameterSpline(data.interval, nodes)
+    return ReconstructionResult(spline=spline, alpha=hi, residual=res)
 
 
 def naive_reconstruction(

@@ -43,7 +43,7 @@ def test_study_deterministic_bytes(tmp_path):
     ).read_bytes()
 
 
-def test_config_file_and_cli_override(tmp_path):
+def test_config_file_and_cli_override(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(
         "# reference sweep\n"
@@ -63,6 +63,16 @@ def test_config_file_and_cli_override(tmp_path):
         == 0
     )
     assert len(read_records_csv(tmp_path / "cli" / "records.csv")) == 2
+    # a key that is not a value-taking flag of the subcommand is an error
+    for typo in ("trails=3", "include-inverse-crime=yes"):
+        cfg.write_text(f"{typo}\nout={tmp_path / 'typo'}\n")
+        assert main(["study", "--config", str(cfg)]) == 1
+        assert typo.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "typo").exists()
+    # a bad value names its flag
+    cfg.write_text(f"trials=three\nout={tmp_path / 'typo'}\n")
+    assert main(["study", "--config", str(cfg)]) == 1
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_validation_errors_exit_1(tmp_path, capsys):

@@ -56,13 +56,6 @@ def test_records_sorted_and_reproducible(quadratic_records):
         assert r.err0 >= 0 and r.err1 >= r.err0 and r.residual >= 0
 
 
-def test_noise_free_debug_cell():
-    config = StudyConfig(delta_list=(1e-2,), trials=1)
-    records = run_study(config, deltas=(0.0,))
-    assert len(records) == 1
-    assert records[0].err0 <= 1e-3
-
-
 def test_median_err0_decreases(quadratic_records):
     medians = [median_of(quadratic_records, d, "err0") for d in (1e-2, 1e-3, 1e-4, 1e-5)]
     assert all(a > b for a, b in zip(medians, medians[1:]))
@@ -161,8 +154,8 @@ def test_study_continues_past_failing_cells():
     # discrepancy cannot reach far below the discretization floor; those
     # cells are skipped with a warning and the rest of the study survives
     config = StudyConfig(
-        delta_list=(1e-3,), alpha_rule="discrepancy", trials=1, base_seed=0
+        delta_list=(1e-3, 1e-12), alpha_rule="discrepancy", trials=1, base_seed=0
     )
     with pytest.warns(UserWarning, match="failed"):
-        records = run_study(config, deltas=(1e-3, 1e-12))
+        records = run_study(config)
     assert [r.delta for r in records] == [1e-3]

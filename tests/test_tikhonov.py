@@ -16,6 +16,7 @@ from difflaw import (
     make_exact_data,
     naive_reconstruction,
     reference_curve,
+    reference_exact_data,
     reference_interval,
     solve_tikhonov,
     tikhonov_objective,
@@ -136,9 +137,18 @@ def test_discrepancy_reference_bracket(exact_data):
     delta, tau = 1e-3, 1.5
     data = _noisy(exact_data, delta, 6)
     problem = build_tikhonov_problem(data, 200)
-    alpha, result = alpha_discrepancy(problem, delta, tau=tau)
+    result = alpha_discrepancy(problem, delta, tau=tau)
     assert tau * delta <= result.residual <= 1.5 * tau * delta
-    assert result.alpha == alpha > 0
+    assert result.alpha > 0
+
+
+def test_discrepancy_fine_grid():
+    # at n = 10^4 the banded Cholesky solve fails for alpha near 10^4, so the
+    # search must reach the bracket without solving there
+    delta = 1e-2
+    data = _noisy(reference_exact_data(20000), delta, 0)
+    result = alpha_discrepancy(build_tikhonov_problem(data, 10000), delta)
+    assert 1.5 * delta <= result.residual <= 2.25 * delta
 
 
 def test_discrepancy_noise_level_too_small(exact_data):
@@ -157,10 +167,10 @@ def test_discrepancy_data_too_rough(exact_data):
 
 def test_discrepancy_validates_arguments(exact_data):
     problem = build_tikhonov_problem(exact_data, 50)
-    with pytest.raises(ValueError):
-        alpha_discrepancy(problem, -1.0)
-    with pytest.raises(ValueError):
-        alpha_discrepancy(problem, 1e-3, tau=0.9)
+    bad = [(-1.0, 1.5), (1e-3, 0.9), (np.nan, 1.5), (np.inf, 1.5), (1e-3, np.nan), (1e-3, np.inf)]
+    for delta, tau in bad:
+        with pytest.raises(ValueError):
+            alpha_discrepancy(problem, delta, tau=tau)
 
 
 def test_naive_noiseless(exact_data, exact_spline):
