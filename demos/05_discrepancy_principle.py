@@ -2,11 +2,13 @@
 """Choosing alpha a-posteriori when only the noise level is trusted.
 
 The discrepancy principle picks the regularization parameter so that the
-data residual matches tau * delta: bisection over log(alpha) exploits that
-the residual grows monotonically with alpha.  Compared with the a-priori
-rule alpha = delta^2, the selected alpha is larger (the residual target sits
-above the noise floor), trading a little accuracy for not having to know
-the right power law in advance.
+data residual matches tau * delta: a safeguarded Newton iteration on
+log(residual) against log(alpha) exploits that the residual grows
+monotonically with alpha, and stops after about six solves once the
+residual lies in [tau * delta, tau * delta * (1 + 2.5e-4)].  Compared with
+the a-priori rule alpha = delta^2, the selected alpha is larger (the
+residual target sits above the noise floor), trading a little accuracy for
+not having to know the right power law in advance.
 """
 
 import numpy as np

@@ -23,7 +23,12 @@ class NumericalError(RuntimeError):
 
 
 class DiscrepancySearchError(NumericalError):
-    """The discrepancy-principle bisection cannot bracket the target residual."""
+    """The discrepancy-principle search cannot reach the target residual.
+
+    The safeguarded Newton search aims at residuals in
+    [tau delta, tau delta (1 + 2.5e-4)], inside the bracket
+    [tau delta, 1.5 tau delta]; the subclasses name the side the data miss.
+    """
 
 
 class NoiseLevelTooSmallError(DiscrepancySearchError):

@@ -80,10 +80,14 @@ class TraceData:
             for name in ("quad_weights", "h_values", "y_values")
         ):
             raise ValueError("all data arrays must have equal length")
+        # non-finite h_values fall outside the interval and raise DomainError below
+        for name in ("s_nodes", "quad_weights", "y_values"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.quad_weights <= 0):
             raise ValueError("quadrature weights must be positive")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if np.any(~self.interval.contains(self.h_values)):
             i = int(np.argmax(~self.interval.contains(self.h_values)))
             raise DomainError(

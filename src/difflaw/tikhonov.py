@@ -18,26 +18,28 @@ P-splines).  On element k with local coordinate t,
 and the normalization A(u_min) = 0 is d_{-1} = -d_0, folded into column 0.
 Every row of T and of the penalties then has three nonzeros, so the normal
 matrix T^T W T + alpha (K + P) is a symmetric positive definite band of
-half-width 2, factored by one banded Cholesky solve.  The nodal values are
-a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
+half-width 2, factored by one banded Cholesky (LAPACK dpbtrf) per alpha.
+The nodal values are a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
 
 `build_tikhonov_problem(data, n_elements)` assembles the bands of T^T W T
 and K + P and the vector T^T W y once per data set; alpha is chosen per
 solve, either directly with `solve_tikhonov(problem, alpha)` or by the
-discrepancy principle with `alpha_discrepancy(problem, delta)`, a bisection
-over log(alpha) that stops at the lower edge of the residual bracket
-[tau delta, 1.5 tau delta].  Both return a `ReconstructionResult`, which
-carries the alpha used.  Also provided: the two a-priori parameter-choice
-rules and the naive differentiation reconstruction that serves as the
-instability baseline.
+discrepancy principle with `alpha_discrepancy(problem, delta)`, a
+safeguarded Newton iteration on log(residual) against log(alpha) that stops
+once the residual lies in [tau delta, tau delta (1 + 2.5e-4)], at the lower
+edge of the bracket [tau delta, 1.5 tau delta].  Both return a
+`ReconstructionResult`, which carries the alpha used.  Also provided: the
+two a-priori parameter-choice rules and the naive differentiation
+reconstruction that serves as the instability baseline.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, quadrature_norm
@@ -54,10 +56,20 @@ __all__ = [
     "naive_reconstruction",
 ]
 
-# log-bisection range of the discrepancy search and the ratio hi/lo it stops at
+# discrepancy search: the initial bracket in alpha, the ratio hi/lo at which
+# it gives up on Newton and returns the upper end, the relative width of the
+# residual window [tau delta, tau delta (1 + DISCREPANCY_TOL)] it aims for,
+# and the largest factor by which one Newton step may change alpha.  Newton
+# gets as many steps as bisection needs to reach ALPHA_RATIO (17); after
+# that the search bisects, so it ends within twice that many solves.
 ALPHA_MIN = 1e-16
 ALPHA_MAX = 1e4
 ALPHA_RATIO = 1.0005
+DISCREPANCY_TOL = 2.5e-4
+MAX_LOG_STEP = np.log(100.0)
+MAX_NEWTON_STEPS = int(
+    np.ceil(np.log2(np.log(ALPHA_MAX / ALPHA_MIN) / np.log(ALPHA_RATIO)))
+)
 
 
 def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +102,7 @@ def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
 def _gram_band(
     rows: tuple[np.ndarray, np.ndarray], row_weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """Upper band of sum_i w_i r_i r_i^T in `solveh_banded` layout, (3, size)."""
+    """Upper band of sum_i w_i r_i r_i^T in LAPACK `dpbtrf` layout, (3, size)."""
     first, weights = rows
     band = np.zeros((3, size + 2))
     for p in range(3):
@@ -100,13 +112,13 @@ def _gram_band(
     return band[:, :size]
 
 
-def _band_form(band: np.ndarray, d: np.ndarray) -> float:
-    """d^T M d for the symmetric M whose upper band is `band`."""
-    return float(
-        band[2] @ d**2
-        + 2 * (band[1, 1:] @ (d[:-1] * d[1:]))
-        + 2 * (band[0, 2:] @ (d[:-2] * d[2:]))
-    )
+def _band_apply(band: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M d for the symmetric M whose upper band is `band`."""
+    out = band[2] * d
+    for k in (1, 2):
+        out[:-k] += band[2 - k, k:] * d[k:]
+        out[k:] += band[2 - k, k:] * d[:-k]
+    return out
 
 
 def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
@@ -183,29 +195,50 @@ def build_tikhonov_problem(data: TraceData, n_elements: int) -> TikhonovProblem:
     )
 
 
-def _solve(problem: TikhonovProblem, alpha: float) -> tuple[np.ndarray, float]:
-    """Banded Cholesky solve of the normal equations at alpha: (nodes, residual)."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    try:
-        d = solveh_banded(
-            problem.normal_band + alpha * problem.penalty_band, problem.normal_rhs
-        )
-    except LinAlgError as exc:
+def _factor(problem: TikhonovProblem, alpha: float) -> np.ndarray:
+    """Banded Cholesky factor of T^T W T + alpha (K + P), upper band (3, n+1)."""
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    factor, info = dpbtrf(problem.normal_band + alpha * problem.penalty_band)
+    # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
+    # overflowed shows only as a non-finite diagonal of the factor
+    if info != 0 or not np.isfinite(factor[2]).all():
         raise NumericalError(
             f"normal-equation factorization failed at alpha={alpha!r} "
-            f"(size {problem.n_elements + 1}); system not positive definite: {exc}"
-        ) from exc
+            f"(size {problem.n_elements + 1}, LAPACK info {info}); "
+            "system not finite and positive definite"
+        )
+    return factor
+
+
+def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve M x = rhs with the banded Cholesky factor of M from `_factor`."""
+    x, _ = dpbtrs(factor, rhs)  # info < 0 only flags an illegal argument
+    return x
+
+
+def _solve(
+    problem: TikhonovProblem, alpha: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Normal equations at alpha: (factor, B-spline coefficients d, residual)."""
+    factor = _factor(problem, alpha)
+    d = _apply_inverse(factor, problem.normal_rhs)
     data = problem.data
     residual = quadrature_norm(_apply(problem.t_rows, d) - data.y_values, data.quad_weights)
-    return _nodes(d, problem.spacing), residual
+    return factor, d, residual
+
+
+def _result(
+    problem: TikhonovProblem, alpha: float, d: np.ndarray, residual: float
+) -> ReconstructionResult:
+    spline = ParameterSpline(problem.data.interval, _nodes(d, problem.spacing))
+    return ReconstructionResult(spline=spline, alpha=float(alpha), residual=residual)
 
 
 def solve_tikhonov(problem: TikhonovProblem, alpha: float) -> ReconstructionResult:
     """Unique minimizer of the Tikhonov functional at parameter alpha > 0."""
-    nodes, residual = _solve(problem, alpha)
-    spline = ParameterSpline(problem.data.interval, nodes)
-    return ReconstructionResult(spline=spline, alpha=float(alpha), residual=residual)
+    _, d, residual = _solve(problem, alpha)
+    return _result(problem, alpha, d, residual)
 
 
 def tikhonov_objective(
@@ -216,7 +249,7 @@ def tikhonov_objective(
     misfit = _apply(problem.t_rows, d) - problem.data.y_values
     return float(
         np.sum(problem.data.quad_weights * misfit**2)
-        + alpha * _band_form(problem.penalty_band, d)
+        + alpha * (d @ _band_apply(problem.penalty_band, d))
     )
 
 
@@ -240,12 +273,23 @@ def alpha_discrepancy(
 ) -> ReconstructionResult:
     """Choose alpha a-posteriori so that the residual lands in [tau*d, 1.5*tau*d].
 
-    The residual is nondecreasing in alpha and tends to ||y||_W as alpha
+    The residual r is nondecreasing in alpha and tends to ||y||_W as alpha
     grows, so ||y||_W < tau*delta means no alpha can reach the bracket.
-    Otherwise bisection on log(alpha) over [ALPHA_MIN, ALPHA_MAX] keeps as
-    its upper end the smallest tried alpha whose residual reaches tau*delta,
-    and stops when the ends are within the ratio ALPHA_RATIO: the returned
-    solution sits at the lower edge of the bracket.
+    Otherwise a safeguarded Newton iteration on ln r against ln alpha aims
+    at the middle of the window [tau*d, tau*d (1 + DISCREPANCY_TOL)] at the
+    lower edge of the bracket.  It starts at sqrt(ALPHA_MIN * ALPHA_MAX),
+    changes alpha by at most a factor 100 per step, keeps the bracket
+    (lo, hi) with r(lo) < tau*d <= r(hi), and bisects ln alpha whenever a
+    step would leave it or after MAX_NEWTON_STEPS steps.  The slope costs
+    one back-substitution with the factor already computed: from
+    T^T W (T d - y) = -alpha (K + P) d,
+
+        d ln r / d ln alpha = alpha^2 w^T M^{-1} w / r^2,  w = (K + P) d,
+
+    with M = T^T W T + alpha (K + P).  The search stops when r lands in the
+    window or, failing that, when hi/lo < ALPHA_RATIO, and returns the
+    solution at hi.  When r(ALPHA_MIN) already lies in the bracket, the
+    window is out of reach and the ALPHA_MIN solution is returned.
 
     Raises NoiseLevelTooSmallError if the residual at ALPHA_MIN already
     exceeds the bracket, DataTooRoughError if ||y||_W stays below it, and
@@ -257,6 +301,8 @@ def alpha_discrepancy(
         raise ValueError(f"tau must be finite and > 1, got {tau}")
     target_lo = tau * delta
     target_hi = 1.5 * tau * delta
+    window_hi = target_lo * (1 + DISCREPANCY_TOL)
+    log_goal = np.log(target_lo * (1 + DISCREPANCY_TOL / 2))
 
     data = problem.data
     data_norm = quadrature_norm(data.y_values, data.quad_weights)
@@ -265,31 +311,44 @@ def alpha_discrepancy(
             f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "
             f"is below {target_lo:.3e}; the noise level {delta:g} exceeds the data scale"
         )
-    _, res_min = _solve(problem, ALPHA_MIN)
-    if res_min > target_hi:
+    _, d, res = _solve(problem, ALPHA_MIN)
+    if res > target_hi:
         raise NoiseLevelTooSmallError(
-            f"residual {res_min:.3e} at alpha={ALPHA_MIN:g} already exceeds "
+            f"residual {res:.3e} at alpha={ALPHA_MIN:g} already exceeds "
             f"{target_hi:.3e}; the claimed noise level {delta:g} is below what "
             "the data can be fitted to"
         )
+    if res >= target_lo:
+        return _result(problem, ALPHA_MIN, d, res)
 
     lo, hi = ALPHA_MIN, ALPHA_MAX
-    upper = None  # (nodes, residual) at hi once a tried alpha has reached tau*delta
-    while hi / lo >= ALPHA_RATIO:
-        mid = float(np.sqrt(lo * hi))
-        nodes, res = _solve(problem, mid)
+    upper = None  # (d, residual) at hi once a tried alpha has reached tau*delta
+    alpha = float(np.sqrt(lo * hi))
+    for solves in itertools.count(1):
+        factor, d, res = _solve(problem, alpha)
         if res < target_lo:
-            lo = mid
+            lo = alpha
         else:
-            hi, upper = mid, (nodes, res)
+            hi, upper = alpha, (d, res)
+        if target_lo <= res <= window_hi or hi / lo < ALPHA_RATIO:
+            break
+        if solves <= MAX_NEWTON_STEPS:
+            w = _band_apply(problem.penalty_band, d)
+            slope = alpha**2 * (w @ _apply_inverse(factor, w)) / res**2
+            gap = log_goal - np.log(res)
+            if abs(gap) < MAX_LOG_STEP * slope:
+                step = gap / slope
+            else:  # also when slope = 0, i.e. (K + P) d = 0
+                step = np.copysign(MAX_LOG_STEP, gap)
+            alpha *= np.exp(step)
+        if not lo < alpha < hi:
+            alpha = float(np.sqrt(lo * hi))
     if upper is None or upper[1] > target_hi:
         raise NumericalError(
-            "discrepancy bisection did not land in the residual bracket "
+            "discrepancy search did not land in the residual bracket "
             f"[{target_lo:.3e}, {target_hi:.3e}]"
         )
-    nodes, res = upper
-    spline = ParameterSpline(data.interval, nodes)
-    return ReconstructionResult(spline=spline, alpha=hi, residual=res)
+    return _result(problem, hi, *upper)
 
 
 def naive_reconstruction(

@@ -35,12 +35,14 @@ def test_study_writes_outputs(tmp_path, capsys):
 
 
 def test_study_deterministic_bytes(tmp_path):
-    args = ["study", "--deltas", "1e-2,1e-3", "--trials", "2", "--seed", "1"]
-    assert main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert main(args + ["--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "a" / "records.csv").read_bytes() == (
-        tmp_path / "b" / "records.csv"
-    ).read_bytes()
+    for rule in ("quadratic", "discrepancy:1.5"):
+        args = ["study", "--deltas", "1e-2,1e-3", "--trials", "2", "--seed", "1"]
+        args += ["--alpha-rule", rule]
+        assert main(args + ["--out", str(tmp_path / rule / "a")]) == 0
+        assert main(args + ["--out", str(tmp_path / rule / "b")]) == 0
+        assert (tmp_path / rule / "a" / "records.csv").read_bytes() == (
+            tmp_path / rule / "b" / "records.csv"
+        ).read_bytes()
 
 
 def test_config_file_and_cli_override(tmp_path, capsys):

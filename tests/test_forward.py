@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ def test_add_noise_rejects_negative_delta(exact_data):
     for delta in (-1e-3, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and >= 0"):
             add_noise(exact_data, delta, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("field", ["s_nodes", "quad_weights", "y_values", "delta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_trace_data_rejects_non_finite(exact_data, field, bad):
+    value = bad
+    if field != "delta":
+        value = getattr(exact_data, field).copy()
+        value[3] = bad
+    with pytest.raises(ValueError, match=field):
+        replace(exact_data, **{field: value})
 
 
 def test_add_noise_deterministic(exact_data):

@@ -1,4 +1,4 @@
-"""Property-based tests over grid sizes and state intervals."""
+"""Property-based tests over grid sizes, state intervals and noise levels."""
 
 from dataclasses import replace
 
@@ -7,13 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difflaw import (
+    NoiseLevelTooSmallError,
     ParameterSpline,
     StateInterval,
+    add_noise,
+    alpha_discrepancy,
     antiderivative_l2_norm,
     build_tikhonov_problem,
     reference_exact_data,
+    solve_tikhonov,
     tikhonov_objective,
 )
+from difflaw.tikhonov import ALPHA_MIN, DISCREPANCY_TOL
 
 intervals = st.builds(
     lambda lo, length: StateInterval(lo, lo + length),
@@ -49,3 +54,33 @@ def test_objective_matches_spline_forms(interval, n, seed):
     expected = np.sum(data.quad_weights * misfit**2) + alpha * penalty
     problem = build_tikhonov_problem(data, n)
     assert abs(tikhonov_objective(problem, a, alpha) - expected) <= 1e-10 * expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    n=st.integers(20, 400),
+    m_factor=st.floats(2.0, 4.0),
+    log_delta=st.floats(-5.0, -2.0),
+    tau=st.floats(1.1, 3.0),
+    seed=seeds,
+)
+def test_discrepancy_lands_in_window(n, m_factor, log_delta, tau, seed):
+    # the Newton search stops with the residual in [tau d, tau d (1 + tol)]
+    # unless the weakest regularization already overshoots that window, and
+    # its reported residual is that of a plain solve at its alpha
+    m = int(round(m_factor * n))
+    delta = 10.0**log_delta
+    data = add_noise(reference_exact_data(m), delta, np.random.default_rng(seed))
+    problem = build_tikhonov_problem(data, n)
+    try:
+        result = alpha_discrepancy(problem, delta, tau=tau)
+    except NoiseLevelTooSmallError:
+        assert solve_tikhonov(problem, ALPHA_MIN).residual > 1.5 * tau * delta
+        return
+    window = tau * delta * (1 + DISCREPANCY_TOL)
+    if result.alpha == ALPHA_MIN:
+        assert tau * delta <= result.residual <= 1.5 * tau * delta
+    else:
+        assert tau * delta <= result.residual <= window
+    again = solve_tikhonov(problem, result.alpha).residual
+    assert abs(again - result.residual) <= 1e-12 * result.residual

@@ -10,6 +10,7 @@ from difflaw import (
     read_records_csv,
     run_study,
 )
+from difflaw import study, tikhonov
 
 from conftest import median_of
 
@@ -159,3 +160,36 @@ def test_study_continues_past_failing_cells():
     with pytest.warns(UserWarning, match="failed"):
         records = run_study(config)
     assert [r.delta for r in records] == [1e-3]
+
+
+def test_discrepancy_factorizations_per_cell(monkeypatch):
+    # a count, not a timing: factorizations per cell of the discrepancy
+    # search on the 40 cells of the benchmark's study-discrepancy job
+    factor, search = tikhonov._factor, study.alpha_discrepancy
+    calls, per_cell = [0], []
+
+    def counting_factor(problem, alpha):
+        calls[0] += 1
+        return factor(problem, alpha)
+
+    def counting_search(problem, delta, tau):
+        before = calls[0]
+        result = search(problem, delta, tau=tau)
+        per_cell.append(calls[0] - before)
+        return result
+
+    monkeypatch.setattr(tikhonov, "_factor", counting_factor)
+    monkeypatch.setattr(study, "alpha_discrepancy", counting_search)
+    config = StudyConfig(
+        delta_list=(1e-2, 1e-3, 1e-4, 1e-5),
+        alpha_rule="discrepancy:1.5",
+        trials=10,
+        base_seed=0,
+    )
+    records = run_study(config)
+    assert len(records) == len(per_cell) == 40
+    assert sum(per_cell) / len(per_cell) <= 6.5
+    assert max(per_cell) <= 8
+    for r in records:
+        target = 1.5 * r.delta
+        assert target <= r.residual <= target * (1 + tikhonov.DISCREPANCY_TOL)

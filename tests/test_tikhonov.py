@@ -6,6 +6,7 @@ import pytest
 from difflaw import (
     DataTooRoughError,
     NoiseLevelTooSmallError,
+    NumericalError,
     ParameterSpline,
     add_noise,
     alpha_a_priori,
@@ -67,8 +68,18 @@ def test_antiderivative_penalty_matches_exact_norm(n):
 
 def test_alpha_must_be_positive(exact_data):
     problem = build_tikhonov_problem(exact_data, 50)
-    with pytest.raises(ValueError):
-        solve_tikhonov(problem, 0.0)
+    for alpha in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            solve_tikhonov(problem, alpha)
+
+
+def test_alpha_overflow_is_numerical_error(exact_data):
+    # LAPACK factors a non-finite band without complaint (info 0, NaN nodes);
+    # at alpha = 1e305 the penalty band of this grid overflows
+    problem = build_tikhonov_problem(exact_data, 50)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(NumericalError, match=r"alpha=1e\+305"):
+            solve_tikhonov(problem, 1e305)
 
 
 def test_solve_is_deterministic():
