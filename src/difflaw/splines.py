@@ -24,6 +24,11 @@ __all__ = [
     "antiderivative_l2_norm",
 ]
 
+# 3-point Gauss-Legendre on [-1, 1]: the float64 values leggauss(3) returns
+# (an eigenvalue solve per call); 5/9 would be one ulp off the weights
+_GAUSS_X = np.array([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GAUSS_W = np.array([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+
 
 @dataclass(frozen=True)
 class StateInterval:
@@ -39,6 +44,9 @@ class StateInterval:
             raise ValueError(
                 f"invalid interval: u_min={self.u_min} must be < u_max={self.u_max}"
             )
+        # as floats: equal intervals (one key of the shared penalty band) compute alike
+        object.__setattr__(self, "u_min", float(self.u_min))
+        object.__setattr__(self, "u_max", float(self.u_max))
 
     @property
     def length(self) -> float:
@@ -82,10 +90,9 @@ def _element_gauss_rule(
     strictly inside its element.
     """
     dx = interval.length / n_elements
-    gauss_x, gauss_w = np.polynomial.legendre.leggauss(3)
     left = interval.uniform_grid(n_elements)[:-1]
-    points = (left[:, None] + (gauss_x[None, :] + 1.0) * dx / 2.0).ravel()
-    weights = np.tile(gauss_w * dx / 2.0, n_elements)
+    points = (left[:, None] + (_GAUSS_X[None, :] + 1.0) * dx / 2.0).ravel()
+    weights = np.tile(_GAUSS_W * dx / 2.0, n_elements)
     return points, weights
 
 

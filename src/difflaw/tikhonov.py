@@ -21,21 +21,26 @@ matrix T^T W T + alpha (K + P) is a symmetric positive definite band of
 half-width 2, factored by one banded Cholesky (LAPACK dpbtrf) per alpha.
 The nodal values are a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
 
-`build_tikhonov_problem(data, n_elements)` assembles the bands of T^T W T
-and K + P and the vector T^T W y once per data set; alpha is chosen per
-solve, either directly with `solve_tikhonov(problem, alpha)` or by the
-discrepancy principle with `alpha_discrepancy(problem, delta)`, a
-safeguarded Newton iteration on log(residual) against log(alpha) that stops
-once the residual lies in [tau delta, tau delta (1 + 2.5e-4)], at the lower
-edge of the bracket [tau delta, 1.5 tau delta].  Both return a
-`ReconstructionResult`, which carries the alpha used.  Also provided: the
-two a-priori parameter-choice rules and the naive differentiation
-reconstruction that serves as the instability baseline.
+The penalty K + P depends on the grid alone, so its band is assembled once
+per (interval, n_elements), kept in a small memo and shared, read-only, by
+every problem on that grid.  `build_tikhonov_problem(data, n_elements)`
+assembles the band of T^T W T and the vector T^T W y once per data set;
+alpha is chosen per solve, either directly with
+`solve_tikhonov(problem, alpha)` or by the discrepancy principle with
+`alpha_discrepancy(problem, delta)`, a safeguarded Newton iteration on
+log(residual) against log(alpha) that stops once the residual lies in
+[tau delta, tau delta (1 + 2.5e-4)], at the lower edge of the bracket
+[tau delta, 1.5 tau delta].  Both return a `ReconstructionResult`, which
+carries the alpha used.  Also provided: the two a-priori parameter-choice
+rules and the naive differentiation reconstruction that serves as the
+instability baseline.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,14 +140,15 @@ class TikhonovProblem:
 
     Built once by `build_tikhonov_problem`; the parameter alpha is given per
     solve.  The system matrix T^T W T + alpha (K + P) is symmetric positive
-    definite for alpha > 0 since P is definite on splines.
+    definite for alpha > 0 since P is definite on splines.  Every array is
+    read-only; the penalty band is shared by all problems on the same grid.
     """
 
     data: TraceData
     n_elements: int
     t_rows: tuple              # (first column, (m, 3) weights) of T in d
     normal_band: np.ndarray    # (3, n+1) upper band of T^T W T
-    penalty_band: np.ndarray   # (3, n+1) upper band of K + P
+    penalty_band: np.ndarray   # (3, n+1) upper band of K + P, shared per grid
     normal_rhs: np.ndarray     # (n+1,) T^T W y
 
     @property
@@ -163,35 +169,46 @@ class ReconstructionResult:
             raise ValueError("residual must be >= 0")
 
 
-def build_tikhonov_problem(data: TraceData, n_elements: int) -> TikhonovProblem:
-    """Assemble the banded normal equations for `data` on the n-element grid.
-
-    Raises DomainError if any state lies outside the spline interval
-    (clamping must have happened upstream).
-    """
-    n = int(n_elements)
-    interval = data.interval
+@functools.lru_cache(maxsize=8)
+def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
+    """Read-only upper band of K + P on the n-element grid, (3, n+1)."""
     points, gauss_weights = _element_gauss_rule(interval, n)
     dx = interval.length / n
     # K: (a_{k+1} - a_k)^2 / dx = (d_{k+1} - 2 d_k + d_{k-1})^2 / dx^3
     k_rows = _fold(np.arange(n) - 1, np.tile([1.0, -2.0, 1.0], (n, 1)))
     p_rows = _value_rows(interval, n, points)
-    penalty_rows = tuple(np.concatenate(pair) for pair in zip(k_rows, p_rows))
-    penalty_weights = np.concatenate((np.full(n, dx**-3), gauss_weights))
+    rows = tuple(np.concatenate(pair) for pair in zip(k_rows, p_rows))
+    band = _gram_band(rows, np.concatenate((np.full(n, dx**-3), gauss_weights)), n + 1)
+    band.flags.writeable = False
+    return band
 
-    t_rows = _value_rows(interval, n, data.h_values)
+
+def build_tikhonov_problem(data: TraceData, n_elements: int) -> TikhonovProblem:
+    """Assemble the banded normal equations for `data` on the n-element grid.
+
+    Raises ValueError unless n_elements is an integer >= 1, and DomainError
+    if any state lies outside the spline interval (clamping must have
+    happened upstream).
+    """
+    if not isinstance(n_elements, numbers.Integral) or n_elements < 1:
+        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
+    n = int(n_elements)
+    t_rows = _value_rows(data.interval, n, data.h_values)
     first, weights = t_rows
     wy = data.quad_weights * data.y_values
     rhs = sum(
         np.bincount(first + p, wy * weights[:, p], minlength=n + 3) for p in range(3)
-    )
+    )[: n + 1]
+    normal_band = _gram_band(t_rows, data.quad_weights, n + 1)
+    for array in (*t_rows, normal_band, rhs):
+        array.flags.writeable = False
     return TikhonovProblem(
         data=data,
         n_elements=n,
         t_rows=t_rows,
-        normal_band=_gram_band(t_rows, data.quad_weights, n + 1),
-        penalty_band=_gram_band(penalty_rows, penalty_weights, n + 1),
-        normal_rhs=rhs[: n + 1],
+        normal_band=normal_band,
+        penalty_band=_penalty_band(data.interval, n),
+        normal_rhs=rhs,
     )
 
 

@@ -162,6 +162,16 @@ def test_study_continues_past_failing_cells():
     assert [r.delta for r in records] == [1e-3]
 
 
+def test_penalty_assembled_once_per_study():
+    # a count, not a timing: K + P depends on the grid alone, so the 40
+    # cells of the benchmark's study-apriori job assemble it once
+    tikhonov._penalty_band.cache_clear()
+    config = StudyConfig(delta_list=(1e-2, 1e-3, 1e-4, 1e-5), trials=10, base_seed=0)
+    assert len(run_study(config)) == 40
+    info = tikhonov._penalty_band.cache_info()
+    assert (info.misses, info.hits) == (1, 39)
+
+
 def test_discrepancy_factorizations_per_cell(monkeypatch):
     # a count, not a timing: factorizations per cell of the discrepancy
     # search on the 40 cells of the benchmark's study-discrepancy job

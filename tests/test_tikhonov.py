@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,8 @@ from difflaw import (
     NoiseLevelTooSmallError,
     NumericalError,
     ParameterSpline,
+    StateInterval,
+    TraceData,
     add_noise,
     alpha_a_priori,
     alpha_discrepancy,
@@ -22,10 +25,23 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
+from difflaw.tikhonov import _penalty_band
 
 
 def _noisy(exact_data, delta, seed):
     return add_noise(exact_data, delta, np.random.default_rng(seed))
+
+
+def _data_on(interval, seed, m=40):
+    rng = np.random.default_rng(seed)
+    return TraceData(
+        s_nodes=np.linspace(0.0, 1.0, m),
+        quad_weights=np.full(m, 1.0 / m),
+        h_values=rng.uniform(interval.u_min, interval.u_max, m),
+        y_values=rng.normal(size=m),
+        delta=0.0,
+        interval=interval,
+    )
 
 
 def _penalty(spline):
@@ -64,6 +80,59 @@ def test_antiderivative_penalty_matches_exact_norm(n):
     )
     exact = _penalty(spline)
     assert tikhonov_objective(problem, a, 1.0) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "interval, n",
+    [(reference_interval(), 1), (reference_interval(), 5), (reference_interval(), 200),
+     (StateInterval(0.0, 1.0), 7)],
+)
+def test_penalty_band_matches_fresh_assembly(interval, n):
+    band = build_tikhonov_problem(_data_on(interval, n), n).penalty_band
+    fresh = _penalty_band.__wrapped__(interval, n)
+    assert band.shape == fresh.shape and band.tobytes() == fresh.tobytes()
+
+
+def test_penalty_band_shared_per_grid():
+    interval = reference_interval()
+    band = build_tikhonov_problem(_data_on(interval, 1), 50).penalty_band
+    assert build_tikhonov_problem(_data_on(interval, 2), 50).penalty_band is band
+    finer = build_tikhonov_problem(_data_on(interval, 1), 51).penalty_band
+    unit = build_tikhonov_problem(_data_on(StateInterval(0.0, 1.0), 1), 50).penalty_band
+    assert finer.shape == (3, 52)
+    assert unit.shape == band.shape and not np.array_equal(unit, band)
+
+
+def test_equal_intervals_compute_alike():
+    # float32 endpoints compare and hash equal to their float64 values, so
+    # both intervals get one shared band, which must be the float64 one
+    _penalty_band.cache_clear()
+    narrow = StateInterval(np.float32(0.1), np.float32(1.3))
+    band = build_tikhonov_problem(_data_on(narrow, 0), 30).penalty_band
+    wide = StateInterval(float(np.float32(0.1)), float(np.float32(1.3)))
+    assert band.tobytes() == _penalty_band.__wrapped__(wide, 30).tobytes()
+
+
+def test_problem_arrays_are_read_only(exact_data):
+    problem = build_tikhonov_problem(exact_data, 50)
+    arrays = (problem.normal_band, problem.penalty_band, problem.normal_rhs, *problem.t_rows)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] *= 0
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -3, np.nan, "3"])
+def test_n_elements_must_be_an_integer(exact_data, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="n_elements"):
+            build_tikhonov_problem(exact_data, n)
+
+
+def test_numpy_integer_n_elements(exact_data):
+    problem = build_tikhonov_problem(exact_data, np.int64(7))
+    assert type(problem.n_elements) is int
+    assert problem.penalty_band is build_tikhonov_problem(exact_data, 7).penalty_band
 
 
 def test_alpha_must_be_positive(exact_data):
