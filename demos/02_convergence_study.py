@@ -11,10 +11,7 @@ rule.
 
 from pathlib import Path
 
-import numpy as np
-
 import difflaw as dl
-from difflaw.study import RATE_LINES
 
 OUT = Path("study_output")
 OUT.mkdir(exist_ok=True)
@@ -26,18 +23,14 @@ for rule in ("quadratic", "eight_fifths"):
 
     print(f"\n=== alpha rule: {rule} ===")
     print("delta      median err0   median err1   median res")
-    for delta in DELTAS:
-        cell = [r for r in records if r.delta == delta]
-        print(
-            f"{delta:<10g} {np.median([r.err0 for r in cell]):<13.6f} "
-            f"{np.median([r.err1 for r in cell]):<13.6f} "
-            f"{np.median([r.residual for r in cell]):.6f}"
-        )
+    err0, err1, res = (dl.median_by_delta(records, c) for c in ("err0", "err1", "residual"))
+    for delta in err0:
+        print(f"{delta:<10g} {err0[delta]:<13.6f} {err1[delta]:<13.6f} {res[delta]:.6f}")
     for column in ("err0", "err1", "residual"):
         print(f"slope of median {column}: {dl.fit_rate(records, column):+.3f}")
 
     dl.emit_csv(records, OUT / f"records_{rule}.csv")
-    series, refs = dl.emit_plot_data(records, OUT / f"study_{rule}", RATE_LINES[rule])
+    series, refs = dl.emit_plot_data(records, OUT / f"study_{rule}", dl.RATE_LINES[rule])
     print(f"wrote {series} and {refs}")
 
 print(f"\nplot-ready log-log series are in {OUT}/ (medians, min/max bands,")

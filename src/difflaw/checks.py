@@ -300,13 +300,13 @@ ALL_CHECKS = [
 ]
 
 
-def run_all_checks(write=print) -> bool:
+def run_all_checks() -> bool:
     """Run every check, print one pass/fail line each, return overall success."""
     ok = True
     for name, check in ALL_CHECKS:
         try:
-            write(f"PASS {name}: {check().detail}")
+            print(f"PASS {name}: {check().detail}")
         except AssertionError as exc:
             ok = False
-            write(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
     return ok

@@ -23,14 +23,13 @@ from .exceptions import NumericalError
 from .forward import add_noise
 from .reference import exact_parameter_spline, reference_exact_data
 from .study import (
-    INVERSE_CRIME_DELTA,
     RATE_LINES,
     StudyConfig,
-    _parse_alpha_rule,
     derive_seed,
     emit_csv,
     emit_plot_data,
     fit_rate,
+    median_by_delta,
     run_study,
 )
 from .tikhonov import build_tikhonov_problem, solve_tikhonov
@@ -86,6 +85,10 @@ def _parse_deltas(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from exc
 
 
+def _int_flag(command: argparse.ArgumentParser, flag: str, default: int, text: str) -> None:
+    command.add_argument(flag, type=int, default=default, help=f"{text} (default %(default)s)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="difflaw", description=__doc__)
     parser.add_argument("--version", action="version", version=f"difflaw {__version__}")
@@ -103,10 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=StudyConfig.delta_list,
         help="comma-separated noise levels, decreasing",
     )
-    study.add_argument("--trials", type=int, default=10, help="noise draws per level (default 10)")
-    study.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    study.add_argument("--n", type=int, default=200, help="spline elements (default 200)")
-    study.add_argument("--m", type=int, default=500, help="quadrature points (default 500)")
+    _int_flag(study, "--trials", StudyConfig.trials, "noise draws per level")
+    _int_flag(study, "--seed", StudyConfig.base_seed, "base seed")
+    _int_flag(study, "--n", StudyConfig.n_spline, "spline elements")
+    _int_flag(study, "--m", StudyConfig.m_quad, "quadrature points")
     study.add_argument("--out", help="output directory for CSV and plot data")
     study.add_argument("--config", help="key=value config file; flags override it")
     study.add_argument(
@@ -118,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="single reconstruction at fixed alpha")
     rec.add_argument("--delta", type=float, help="noise level (0 for exact data)")
     rec.add_argument("--alpha", type=float, help="regularization parameter")
-    rec.add_argument("--seed", type=int, default=0, help="noise seed (default 0)")
-    rec.add_argument("--n", type=int, default=200, help="spline elements (default 200)")
-    rec.add_argument("--m", type=int, default=500, help="quadrature points (default 500)")
+    _int_flag(rec, "--seed", StudyConfig.base_seed, "noise seed")
+    _int_flag(rec, "--n", StudyConfig.n_spline, "spline elements")
+    _int_flag(rec, "--m", StudyConfig.m_quad, "quadrature points")
     rec.add_argument("--out", help="output CSV of (u, a) pairs")
     rec.add_argument("--config", help="key=value config file; flags override it")
 
@@ -148,28 +151,20 @@ def _cmd_study(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out / "records.csv")
-    rule_name, _ = _parse_alpha_rule(config.alpha_rule)
-    emit_plot_data(records, out / "study", RATE_LINES[rule_name])
+    emit_plot_data(records, out / "study", RATE_LINES[config.rule[0]])
 
     print(f"wrote {out / 'records.csv'} ({len(records)} records)")
     print("delta        median err0   median err1   median residual")
-    by_delta = {}
-    for r in records:
-        by_delta.setdefault(r.delta, []).append(r)
-    for d in sorted(by_delta, reverse=True):
-        cell = by_delta[d]
-        print(
-            f"{d:<12g} {np.median([r.err0 for r in cell]):<13.6f} "
-            f"{np.median([r.err1 for r in cell]):<13.6f} "
-            f"{np.median([r.residual for r in cell]):.6f}"
-        )
-    usable = [
-        d for d in by_delta if args.include_inverse_crime or d > INVERSE_CRIME_DELTA
-    ]
-    if len(usable) >= 3:
-        for column in ("err0", "err1", "residual"):
-            slope = fit_rate(records, column, args.include_inverse_crime)
-            print(f"log-log slope of median {column} vs delta: {slope:.3f}")
+    columns = ("err0", "err1", "residual")
+    err0, err1, residual = (median_by_delta(records, column) for column in columns)
+    for d in err0:
+        print(f"{d:<12g} {err0[d]:<13.6f} {err1[d]:<13.6f} {residual[d]:.6f}")
+    try:
+        slopes = {c: fit_rate(records, c, args.include_inverse_crime) for c in columns}
+    except ValueError:  # fewer than three usable noise levels
+        slopes = {}
+    for column, slope in slopes.items():
+        print(f"log-log slope of median {column} vs delta: {slope:.3f}")
     return 0
 
 

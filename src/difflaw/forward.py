@@ -165,9 +165,6 @@ def mapping_weight(curve: CurveParametrization, u: float) -> float:
     the closed state range attained by h; outside it the inverse is
     undefined and a DomainError is raised.
     """
-    # imported here: scipy.optimize is slow to import and only this function uses it
-    from scipy.optimize import brentq
-
     f_lo = float(curve.h(curve.s_lo)) - u
     f_hi = float(curve.h(curve.s_hi)) - u
     if f_lo == 0.0:
@@ -184,9 +181,16 @@ def mapping_weight(curve: CurveParametrization, u: float) -> float:
                 f"u={u!r} is not attained by h on [{curve.s_lo}, {curve.s_hi}]"
             )
     else:
-        s_star = brentq(
-            lambda s: float(curve.h(s)) - u, curve.s_lo, curve.s_hi, xtol=1e-15
-        )
+        # bisection down to adjacent floats; h is monotone, so the sign of
+        # h(s) - u tells on which side of the root s lies
+        lo, hi = curve.s_lo, curve.s_hi
+        s_star = 0.5 * (lo + hi)
+        while lo < s_star < hi:
+            if (float(curve.h(s_star)) > u) == (f_lo > 0):
+                lo = s_star
+            else:
+                hi = s_star
+            s_star = 0.5 * (lo + hi)
     slope = abs(float(curve.h_prime(s_star)))
     if slope < 1e-14:
         raise DomainError(f"h'(h^-1(u)) vanishes at u={u!r}; weight undefined")

@@ -8,9 +8,10 @@ and identical configurations produce identical CSV bytes.
 from __future__ import annotations
 
 import logging
+import numbers
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "emit_csv",
     "read_records_csv",
     "emit_plot_data",
+    "median_by_delta",
     "CSV_HEADER",
     "RATE_LINES",
 ]
@@ -82,6 +84,7 @@ class StudyConfig:
     base_seed: int = 0
     n_spline: int = 200
     m_quad: int = 500
+    rule: tuple = field(init=False, compare=False)  # alpha_rule parsed: (name, param)
 
     def __post_init__(self):
         object.__setattr__(self, "delta_list", tuple(float(d) for d in self.delta_list))
@@ -91,9 +94,11 @@ class StudyConfig:
             raise ValueError("all noise levels must be positive and finite")
         if any(a <= b for a, b in zip(self.delta_list, self.delta_list[1:])):
             raise ValueError("delta_list must be strictly decreasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        _parse_alpha_rule(self.alpha_rule)
+        for name, least in (("trials", 1), ("n_spline", 1), ("m_quad", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        object.__setattr__(self, "rule", _parse_alpha_rule(self.alpha_rule))
 
 
 @dataclass(frozen=True)
@@ -115,12 +120,12 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _run_cell(delta, trial, config, exact_data, exact_spline, rule):
+def _run_cell(delta, trial, config, exact_data, exact_spline):
     seed = derive_seed(config.base_seed, delta, trial)
     rng = np.random.default_rng(seed)
     data = add_noise(exact_data, delta, rng)
     problem = build_tikhonov_problem(data, config.n_spline)
-    name, param = rule
+    name, param = config.rule
     if name == "discrepancy":
         result = alpha_discrepancy(problem, delta, tau=param)
     else:
@@ -143,16 +148,13 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     Every cell chooses alpha by config.alpha_rule.  A failing cell is
     reported as a warning with diagnostics and skipped; the study continues.
     """
-    rule = _parse_alpha_rule(config.alpha_rule)
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
     records = []
     for delta in config.delta_list:
         for trial in range(config.trials):
             try:
-                records.append(
-                    _run_cell(delta, trial, config, exact_data, exact_spline, rule)
-                )
+                records.append(_run_cell(delta, trial, config, exact_data, exact_spline))
                 log.info(
                     "cell delta=%g trial=%d: err0=%.4g", delta, trial, records[-1].err0
                 )
@@ -165,7 +167,8 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     return records
 
 
-def _medians(records, column):
+def median_by_delta(records, column: str) -> dict:
+    """Median of `column` over the trials at each noise level, by decreasing delta."""
     by_delta = {}
     for rec in records:
         by_delta.setdefault(rec.delta, []).append(getattr(rec, column))
@@ -180,7 +183,7 @@ def fit_rate(records, column: str, include_inverse_crime: bool = False) -> float
     """
     if column not in ("err0", "err1", "residual"):
         raise ValueError(f"column must be err0, err1 or residual, got {column!r}")
-    med = _medians(records, column)
+    med = median_by_delta(records, column)
     if not include_inverse_crime:
         med = {d: v for d, v in med.items() if d > INVERSE_CRIME_DELTA}
     if len(med) < 3:
@@ -246,7 +249,7 @@ def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path
     series_lines = ["series,delta,median,min,max"]
     med_cache = {}
     for column in ("err0", "err1", "residual"):
-        by_delta = _medians(records, column)
+        by_delta = median_by_delta(records, column)
         med_cache[column] = by_delta
         for d in deltas:
             values = [getattr(r, column) for r in records if r.delta == d]

@@ -273,14 +273,14 @@ def tikhonov_objective(
 def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) -> float:
     """A-priori regularization parameter from the noise level.
 
-    rule="quadratic" gives delta^2; rule="eight_fifths" gives
-    coeff * delta^(8/5) with the default coefficient 0.1.
+    rule="quadratic" gives delta^2; rule="eight_fifths" (with an
+    underscore) gives coeff * delta^(8/5) with the default coefficient 0.1.
     """
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     if rule == "quadratic":
         return float(delta) ** 2
-    if rule in ("eight_fifths", "eight-fifths"):
+    if rule == "eight_fifths":
         return coeff * float(delta) ** 1.6
     raise ValueError(f"unknown parameter-choice rule {rule!r}")
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import difflaw
+from difflaw.checks import ALL_CHECKS
 from difflaw.cli import main
 from difflaw.study import read_records_csv
 
@@ -203,11 +204,12 @@ def test_reconstruct_noise_free(tmp_path, capsys):
     assert err0 <= 1e-3
 
 
-def test_verify_passes(capsys):
+def test_verify_passes(capsys, recwarn):
     assert main(["verify"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 10
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ALL_CHECKS)
+    assert all(line.startswith("PASS ") for line in lines), lines
+    assert not recwarn.list, [str(w.message) for w in recwarn]
 
 
 def _run_python(args, cwd=None):
@@ -221,7 +223,11 @@ def _run_python(args, cwd=None):
 
 
 def test_cli_import_skips_scipy_optimize():
-    probe = "import sys, difflaw.cli; print('scipy.optimize' in sys.modules)"
+    probe = (
+        "import sys, difflaw.cli, difflaw as dl; "
+        "dl.mapping_weight(dl.reference_curve(), 0.3); "
+        "print('scipy.optimize' in sys.modules)"
+    )
     done = _run_python(["-c", probe])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"

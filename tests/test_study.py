@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from difflaw import (
@@ -30,6 +31,26 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(alpha_rule="discrepancy:0.5")
     StudyConfig(alpha_rule="eight-fifths:0.05")  # hyphens accepted
+    for name, bad in [
+        ("trials", 2.5),
+        ("trials", "3"),
+        ("n_spline", 2.5),
+        ("n_spline", 0),
+        ("m_quad", 2.5),
+        ("m_quad", 1),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            StudyConfig(**{name: bad})
+    sizes = StudyConfig(trials=np.int64(2), n_spline=np.int64(10), m_quad=np.int64(20))
+    assert sizes.trials == 2
+
+
+def test_config_parses_alpha_rule_once():
+    assert StudyConfig().rule == ("quadratic", 0.0)
+    assert StudyConfig(alpha_rule="eight-fifths").rule == ("eight_fifths", 0.1)
+    assert StudyConfig(alpha_rule="discrepancy:2").rule == ("discrepancy", 2.0)
+    with pytest.raises(TypeError):
+        StudyConfig(rule=("quadratic", 0.0))
 
 
 def test_seed_derivation_is_stable():
