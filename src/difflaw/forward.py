@@ -148,9 +148,14 @@ def apply_t(spline: ParameterSpline, data: TraceData) -> np.ndarray:
     return spline.antiderivative(data.h_values)
 
 
-def quadrature_norm(values: np.ndarray, weights: np.ndarray) -> float:
-    """Discrete L2 norm sqrt(sum_i w_i v_i^2) over the curve parameter."""
-    return float(np.sqrt(np.sum(weights * np.asarray(values) ** 2)))
+def quadrature_norm(values: np.ndarray, weights: np.ndarray):
+    """Discrete L2 norm sqrt(sum_i w_i v_i^2) over the curve parameter.
+
+    The sum runs over the last axis: a float for one vector of values, an
+    array of norms for a stack of them.
+    """
+    norm = np.sqrt(np.sum(weights * np.asarray(values) ** 2, axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def residual_norm(spline: ParameterSpline, data: TraceData) -> float:

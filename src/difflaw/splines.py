@@ -6,7 +6,8 @@ antiderivative A(u) = int_{u_min}^u a(w) dw is piecewise quadratic and is
 computed in closed form, so that A is exactly linear in the nodal values.
 All norms (L2, H1, and the L2 norm of A) are evaluated with element-wise
 exact quadrature.  `_locate` and `_element_gauss_rule` are shared with the
-Tikhonov assembly, which writes A in the quadratic B-spline basis.
+Tikhonov assembly, which writes A in the quadratic B-spline basis; `_norms`
+with the study, which measures a stack of errors in one pass.
 """
 
 from __future__ import annotations
@@ -96,6 +97,18 @@ def _element_gauss_rule(
     return points, weights
 
 
+def _norms(a: np.ndarray, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact L2(I) and H1(I) norms of piecewise-linear functions.
+
+    `a` holds the nodal values on a uniform grid of spacing dx along its
+    last axis, so a stack of functions takes one pass.
+    """
+    left, right = a[..., :-1], a[..., 1:]
+    l2_sq = np.sum(dx * (left**2 + left * right + right**2) / 3.0, axis=-1)
+    grad_sq = np.sum(np.diff(a, axis=-1) ** 2, axis=-1) / dx
+    return np.sqrt(l2_sq), np.sqrt(l2_sq + grad_sq)
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterSpline:
     """Continuous piecewise-linear coefficient on a uniform state grid.
@@ -173,19 +186,11 @@ class ParameterSpline:
 
     def l2_norm(self) -> float:
         """Exact L2(I) norm of the piecewise-linear function."""
-        a = self.node_values
-        dx = self.spacing
-        return float(
-            np.sqrt(np.sum(dx * (a[:-1] ** 2 + a[:-1] * a[1:] + a[1:] ** 2) / 3.0))
-        )
+        return float(_norms(self.node_values, self.spacing)[0])
 
     def h1_norm(self) -> float:
         """Exact H1(I) norm; the derivative is piecewise constant."""
-        a = self.node_values
-        dx = self.spacing
-        l2_sq = np.sum(dx * (a[:-1] ** 2 + a[:-1] * a[1:] + a[1:] ** 2) / 3.0)
-        grad_sq = np.sum(np.diff(a) ** 2) / dx
-        return float(np.sqrt(l2_sq + grad_sq))
+        return float(_norms(self.node_values, self.spacing)[1])
 
     def __sub__(self, other: "ParameterSpline") -> "ParameterSpline":
         """Nodewise difference; both splines must live on the identical grid."""

@@ -2,7 +2,9 @@
 
 Each study cell (delta, trial) is a pure computation keyed by a seed
 derived from the base seed, so results are independent of execution order
-and identical configurations produce identical CSV bytes.
+and identical configurations produce identical CSV bytes.  The cells of one
+noise level are solved as one stack of Tikhonov problems; a cell's record
+does not depend on the stack it is solved in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .forward import add_noise
 from .reference import exact_parameter_spline, reference_exact_data
+from .splines import _norms
 from .tikhonov import (
     alpha_a_priori,
     alpha_discrepancy,
@@ -120,59 +123,92 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _run_cell(delta, trial, config, exact_data, exact_spline):
-    seed = derive_seed(config.base_seed, delta, trial)
-    rng = np.random.default_rng(seed)
-    data = add_noise(exact_data, delta, rng)
+def _solve_level(delta, trials, config, exact_data, exact_spline):
+    """Records of the given trials at one noise level, solved as one stack."""
+    seeds = [derive_seed(config.base_seed, delta, trial) for trial in trials]
+    data = [add_noise(exact_data, delta, np.random.default_rng(seed)) for seed in seeds]
     problem = build_tikhonov_problem(data, config.n_spline)
     name, param = config.rule
     if name == "discrepancy":
-        result = alpha_discrepancy(problem, delta, tau=param)
+        results = alpha_discrepancy(problem, delta, tau=param)
     else:
-        result = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
-    diff = result.spline - exact_spline
-    return ConvergenceRecord(
-        delta=float(delta),
-        alpha=float(result.alpha),
-        trial=int(trial),
-        seed=seed,
-        err0=diff.l2_norm(),
-        err1=diff.h1_norm(),
-        residual=result.residual,
-    )
+        results = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
+    errors = np.stack([result.spline.node_values for result in results])
+    errors -= exact_spline.node_values
+    err0, err1 = (norms.tolist() for norms in _norms(errors, exact_spline.spacing))
+    return [
+        ConvergenceRecord(
+            delta=float(delta),
+            alpha=float(result.alpha),
+            trial=int(trial),
+            seed=seed,
+            err0=e0,
+            err1=e1,
+            residual=result.residual,
+        )
+        for trial, seed, result, e0, e1 in zip(trials, seeds, results, err0, err1)
+    ]
+
+
+def _level_outcomes(delta, config, exact_data, exact_spline) -> list:
+    """(trial, its record or the error it raised) at one noise level, by trial.
+
+    The trials are solved as one stack.  If that raises, they are solved
+    again one by one, each as a stack of one, so that a failing trial
+    reports its own error and the others keep their records; a record does
+    not depend on the stack it was solved in.
+    """
+    trials = range(config.trials)
+    try:
+        records = _solve_level(delta, trials, config, exact_data, exact_spline)
+        return list(zip(trials, records))
+    except (NumericalError, ValueError):
+        pass
+    outcomes = []
+    for trial in trials:
+        try:
+            (outcome,) = _solve_level(delta, [trial], config, exact_data, exact_spline)
+        except (NumericalError, ValueError) as exc:
+            outcome = exc
+        outcomes.append((trial, outcome))
+    return outcomes
 
 
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Run all (delta, trial) cells and return records sorted by (delta desc, trial).
 
-    Every cell chooses alpha by config.alpha_rule.  A failing cell is
-    reported as a warning with diagnostics and skipped; the study continues.
+    Every cell chooses alpha by config.alpha_rule; the cells of one noise
+    level are solved as one stack.  A failing cell is reported as a warning
+    with diagnostics and skipped; the study continues.
     """
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
     records = []
     for delta in config.delta_list:
-        for trial in range(config.trials):
-            try:
-                records.append(_run_cell(delta, trial, config, exact_data, exact_spline))
-                log.info(
-                    "cell delta=%g trial=%d: err0=%.4g", delta, trial, records[-1].err0
-                )
-            except (NumericalError, ValueError) as exc:
+        for trial, outcome in _level_outcomes(delta, config, exact_data, exact_spline):
+            if isinstance(outcome, Exception):
                 warnings.warn(
-                    f"study cell (delta={delta:g}, trial={trial}) failed: {exc}",
+                    f"study cell (delta={delta:g}, trial={trial}) failed: {outcome}",
                     stacklevel=2,
                 )
+            else:
+                records.append(outcome)
+                log.info("cell delta=%g trial=%d: err0=%.4g", delta, trial, outcome.err0)
     records.sort(key=lambda r: (-r.delta, r.trial))
     return records
 
 
-def median_by_delta(records, column: str) -> dict:
-    """Median of `column` over the trials at each noise level, by decreasing delta."""
+def _by_delta(records, column: str) -> dict:
+    """Values of `column` over the trials at each noise level, by decreasing delta."""
     by_delta = {}
     for rec in records:
         by_delta.setdefault(rec.delta, []).append(getattr(rec, column))
-    return {d: float(np.median(v)) for d, v in sorted(by_delta.items(), reverse=True)}
+    return dict(sorted(by_delta.items(), reverse=True))
+
+
+def median_by_delta(records, column: str) -> dict:
+    """Median of `column` over the trials at each noise level, by decreasing delta."""
+    return {d: float(np.median(v)) for d, v in _by_delta(records, column).items()}
 
 
 def fit_rate(records, column: str, include_inverse_crime: bool = False) -> float:
@@ -247,14 +283,13 @@ def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path
     deltas = sorted({r.delta for r in records}, reverse=True)
 
     series_lines = ["series,delta,median,min,max"]
-    med_cache = {}
+    anchors = {}  # the median at the largest delta, per column
     for column in ("err0", "err1", "residual"):
-        by_delta = median_by_delta(records, column)
-        med_cache[column] = by_delta
-        for d in deltas:
-            values = [getattr(r, column) for r in records if r.delta == d]
+        for d, values in _by_delta(records, column).items():
+            median = float(np.median(values))
+            anchors.setdefault(column, median)
             series_lines.append(
-                f"{column},{d!r},{by_delta[d]!r},{min(values)!r},{max(values)!r}"
+                f"{column},{d!r},{median!r},{min(values)!r},{max(values)!r}"
             )
     series_path = stem.with_suffix(".series.csv")
     series_path.write_text("\n".join(series_lines) + "\n", newline="\n")
@@ -262,7 +297,7 @@ def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path
     ref_lines = ["series,rate,delta,value"]
     anchor_delta = deltas[0]
     for column, rate in reference_rates.items():
-        anchor = med_cache[column][anchor_delta]
+        anchor = anchors[column]
         for d in deltas:
             value = anchor * (d / anchor_delta) ** rate
             ref_lines.append(f"{column},{rate!r},{d!r},{value!r}")

@@ -31,7 +31,17 @@ alpha is chosen per solve, either directly with
 log(residual) against log(alpha) that stops once the residual lies in
 [tau delta, tau delta (1 + 2.5e-4)], at the lower edge of the bracket
 [tau delta, 1.5 tau delta].  Both return a `ReconstructionResult`, which
-carries the alpha used.  Also provided: the two a-priori parameter-choice
+carries the alpha used.
+
+A problem is a stack of S members, one per data set; the data sets share
+the interval and the quadrature, and a single `TraceData` is a stack of
+one.  Every array but the penalty band has a leading stack axis, and each
+member is solved with its own alpha (or delta).  The members' (3, n+1)
+bands are laid side by side in one (3, S (n+1)) LAPACK band: the entries
+that would couple two blocks are the unused top-left entries of each band,
+which are zero, so one dpbtrf and one dpbtrs call factor and solve every
+member, each bit for bit as it would be alone.  A stack returns a tuple of
+results in stack order.  Also provided: the two a-priori parameter-choice
 rules and the naive differentiation reconstruction that serves as the
 instability baseline.
 """
@@ -39,7 +49,6 @@ instability baseline.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -80,54 +89,66 @@ MAX_NEWTON_STEPS = int(
 def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows of three weights from column `first`, with d_{-1} = -d_0 folded in.
 
-    A row starting at column -1 is shifted to start at column 0; `weights`
-    is updated in place.
+    A row starting at column -1 is shifted to start at column 0; `weights`,
+    (..., 3), may be updated in place.
     """
-    edge = first < 0
-    weights[edge] = np.column_stack(
-        (weights[edge, 1] - weights[edge, 0], weights[edge, 2], np.zeros(edge.sum()))
+    edge = np.flatnonzero(first < 0)
+    rows = weights.reshape(-1, 3)
+    rows[edge] = np.column_stack(
+        (rows[edge, 1] - rows[edge, 0], rows[edge, 2], np.zeros(edge.size))
     )
-    return np.maximum(first, 0), weights
+    return np.maximum(first, 0), rows.reshape(weights.shape)
 
 
 def _value_rows(interval: StateInterval, n: int, u) -> tuple[np.ndarray, np.ndarray]:
-    """Rows giving A(u) in the B-spline coefficients d."""
+    """Rows giving A(u) in the B-spline coefficients d, one per point of u."""
     k, t = _locate(interval, n, u)
-    weights = np.column_stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2))
+    weights = np.stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2), axis=-1)
     return _fold(k - 1, weights)
 
 
+def _columns(first: np.ndarray, width: int) -> np.ndarray:
+    """Columns `first` shifted into member blocks of `width` laid end to end."""
+    count = first.size // first.shape[-1]
+    return first + width * np.arange(count).reshape(first.shape[:-1] + (1,))
+
+
 def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
-    """Row-by-row products with the coefficient vector d."""
+    """Row-by-row products with the coefficient vectors d, member by member."""
     first, weights = rows
-    padded = np.concatenate((d, [0.0, 0.0]))
-    return sum(weights[:, p] * padded[first + p] for p in range(3))
+    padded = np.zeros(d.shape[:-1] + (d.shape[-1] + 2,))
+    padded[..., :-2] = d
+    columns, values = _columns(first, padded.shape[-1]), padded.ravel()
+    return sum(weights[..., p] * values[columns + p] for p in range(3))
 
 
 def _gram_band(
     rows: tuple[np.ndarray, np.ndarray], row_weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """Upper band of sum_i w_i r_i r_i^T in LAPACK `dpbtrf` layout, (3, size)."""
+    """Upper band of sum_i w_i r_i r_i^T in LAPACK `dpbtrf` layout, (..., 3, size)."""
     first, weights = rows
-    band = np.zeros((3, size + 2))
+    stack = first.shape[:-1]
+    columns = _columns(first, size + 2).ravel()
+    band = np.zeros((3, int(np.prod(stack)) * (size + 2)))
     for p in range(3):
+        weighted = row_weights * weights[..., p]
         for q in range(p, 3):
-            products = row_weights * weights[:, p] * weights[:, q]
-            band[2 + p - q] += np.bincount(first + q, products, minlength=size + 2)
-    return band[:, :size]
+            products = (weighted * weights[..., q]).ravel()
+            band[2 + p - q] += np.bincount(columns + q, products, minlength=band.shape[1])
+    return np.moveaxis(band.reshape((3, *stack, size + 2)), 0, -2)[..., :size]
 
 
 def _band_apply(band: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M d for the symmetric M whose upper band is `band`."""
+    """M d for the symmetric M whose upper band is `band`, member by member."""
     out = band[2] * d
     for k in (1, 2):
-        out[:-k] += band[2 - k, k:] * d[k:]
-        out[k:] += band[2 - k, k:] * d[:-k]
+        out[..., :-k] += band[2 - k, k:] * d[..., k:]
+        out[..., k:] += band[2 - k, k:] * d[..., :-k]
     return out
 
 
 def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
-    return np.concatenate(([2 * d[0]], np.diff(d))) / dx
+    return np.concatenate((2 * d[..., :1], np.diff(d, axis=-1)), axis=-1) / dx
 
 
 def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
@@ -136,24 +157,35 @@ def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TikhonovProblem:
-    """Banded normal equations of the least-squares problem for one data set.
+    """Banded normal equations of the least-squares problems of a stack of data sets.
 
     Built once by `build_tikhonov_problem`; the parameter alpha is given per
-    solve.  The system matrix T^T W T + alpha (K + P) is symmetric positive
-    definite for alpha > 0 since P is definite on splines.  Every array is
-    read-only; the penalty band is shared by all problems on the same grid.
+    solve and per member.  The system matrix T^T W T + alpha (K + P) is
+    symmetric positive definite for alpha > 0 since P is definite on
+    splines.  Every array is read-only; the penalty band is shared by all
+    problems on the same grid.
     """
 
-    data: TraceData
+    data: TraceData | tuple    # one data set, or the stack's S data sets
     n_elements: int
-    t_rows: tuple              # (first column, (m, 3) weights) of T in d
-    normal_band: np.ndarray    # (3, n+1) upper band of T^T W T
+    t_rows: tuple              # (first column (S, m), weights (S, m, 3)) of T in d
+    normal_band: np.ndarray    # (S, 3, n+1) upper bands of T^T W T
     penalty_band: np.ndarray   # (3, n+1) upper band of K + P, shared per grid
-    normal_rhs: np.ndarray     # (n+1,) T^T W y
+    normal_rhs: np.ndarray     # (S, n+1) T^T W y
+    y_values: np.ndarray       # (S, m) data of the members
+
+    @property
+    def members(self) -> tuple:
+        """The data sets of the stack, in stack order."""
+        return (self.data,) if isinstance(self.data, TraceData) else self.data
+
+    @property
+    def quad_weights(self) -> np.ndarray:
+        return self.members[0].quad_weights
 
     @property
     def spacing(self) -> float:
-        return self.data.interval.length / self.n_elements
+        return self.members[0].interval.length / self.n_elements
 
 
 @dataclass(frozen=True)
@@ -183,89 +215,155 @@ def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
     return band
 
 
-def build_tikhonov_problem(data: TraceData, n_elements: int) -> TikhonovProblem:
+def _stack_members(data) -> tuple:
+    """The data sets of a stack: `data` itself, or a sequence sharing its grid."""
+    members = (data,) if isinstance(data, TraceData) else tuple(data)
+    if not members or not all(isinstance(member, TraceData) for member in members):
+        raise ValueError("data must be a TraceData or a non-empty sequence of them")
+    head = members[0]
+    for member in members[1:]:
+        if not (
+            member.interval == head.interval
+            and np.array_equal(member.s_nodes, head.s_nodes)
+            and np.array_equal(member.quad_weights, head.quad_weights)
+        ):
+            raise ValueError(
+                "stacked data sets must share the interval, s_nodes and quad_weights"
+            )
+    return members
+
+
+def build_tikhonov_problem(data, n_elements: int) -> TikhonovProblem:
     """Assemble the banded normal equations for `data` on the n-element grid.
 
-    Raises ValueError unless n_elements is an integer >= 1, and DomainError
-    if any state lies outside the spline interval (clamping must have
-    happened upstream).
+    `data` is one TraceData or a sequence of them that share the interval,
+    s_nodes and quad_weights; each becomes one member of the stack.  Raises
+    ValueError unless n_elements is an integer >= 1 or for any other data,
+    and DomainError if any state lies outside the spline interval (clamping
+    must have happened upstream).
     """
     if not isinstance(n_elements, numbers.Integral) or n_elements < 1:
         raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
     n = int(n_elements)
-    t_rows = _value_rows(data.interval, n, data.h_values)
+    members = _stack_members(data)
+    interval, quad_weights = members[0].interval, members[0].quad_weights
+    y = np.stack([member.y_values for member in members])
+    t_rows = _value_rows(interval, n, np.stack([member.h_values for member in members]))
     first, weights = t_rows
-    wy = data.quad_weights * data.y_values
+    count, width = len(members), n + 3
+    columns = _columns(first, width).ravel()
+    wy = quad_weights * y
     rhs = sum(
-        np.bincount(first + p, wy * weights[:, p], minlength=n + 3) for p in range(3)
-    )[: n + 1]
-    normal_band = _gram_band(t_rows, data.quad_weights, n + 1)
-    for array in (*t_rows, normal_band, rhs):
+        np.bincount(columns + p, (wy * weights[..., p]).ravel(), minlength=count * width)
+        for p in range(3)
+    ).reshape(count, width)[:, : n + 1]
+    normal_band = _gram_band(t_rows, quad_weights, n + 1)
+    for array in (*t_rows, normal_band, rhs, y):
         array.flags.writeable = False
     return TikhonovProblem(
-        data=data,
+        data=data if isinstance(data, TraceData) else members,
         n_elements=n,
         t_rows=t_rows,
         normal_band=normal_band,
-        penalty_band=_penalty_band(data.interval, n),
+        penalty_band=_penalty_band(interval, n),
         normal_rhs=rhs,
+        y_values=y,
     )
 
 
-def _factor(problem: TikhonovProblem, alpha: float) -> np.ndarray:
-    """Banded Cholesky factor of T^T W T + alpha (K + P), upper band (3, n+1)."""
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    factor, info = dpbtrf(problem.normal_band + alpha * problem.penalty_band)
+def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
+    """Banded Cholesky factor of T^T W T + alpha (K + P) for the given members.
+
+    `members` indexes the stack and `alphas` holds one alpha for each of
+    them.  Their bands are factored side by side: the factor is one upper
+    band (3, len(members) (n+1)).
+    """
+    for alpha in alphas:
+        if not 0 < alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    scaled = np.array(alphas)[:, None, None] * problem.penalty_band
+    factor, info = dpbtrf(np.concatenate(problem.normal_band[members] + scaled, axis=1))
     # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
     # overflowed shows only as a non-finite diagonal of the factor
-    if info != 0 or not np.isfinite(factor[2]).all():
+    size = problem.n_elements + 1
+    finite = np.isfinite(factor[2]).reshape(len(alphas), size).all(axis=1)
+    if info != 0 or not finite.all():
+        k = (info - 1) // size if info > 0 else int(np.argmin(finite))
         raise NumericalError(
-            f"normal-equation factorization failed at alpha={alpha!r} "
-            f"(size {problem.n_elements + 1}, LAPACK info {info}); "
+            f"normal-equation factorization failed at alpha={alphas[k]!r} "
+            f"(size {size}, LAPACK info {info - k * size if info > 0 else info}); "
             "system not finite and positive definite"
         )
     return factor
 
 
 def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve M x = rhs with the banded Cholesky factor of M from `_factor`."""
-    x, _ = dpbtrs(factor, rhs)  # info < 0 only flags an illegal argument
-    return x
+    """Solve M x = rhs, rhs (k, n+1), member by member with the factor of `_factor`."""
+    x, _ = dpbtrs(factor, rhs.ravel())  # info < 0 only flags an illegal argument
+    return x.reshape(rhs.shape)
 
 
 def _solve(
-    problem: TikhonovProblem, alpha: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Normal equations at alpha: (factor, B-spline coefficients d, residual)."""
-    factor = _factor(problem, alpha)
-    d = _apply_inverse(factor, problem.normal_rhs)
-    data = problem.data
-    residual = quadrature_norm(_apply(problem.t_rows, d) - data.y_values, data.quad_weights)
-    return factor, d, residual
+    problem: TikhonovProblem, alphas, members
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Normal equations of the given members at their alphas.
+
+    Returns the factor, the B-spline coefficients d (k, n+1) and the
+    residuals ||T d - y||_W as floats.
+    """
+    factor = _factor(problem, alphas, members)
+    d = _apply_inverse(factor, problem.normal_rhs[members])
+    first, weights = problem.t_rows
+    misfit = _apply((first[members], weights[members]), d) - problem.y_values[members]
+    return factor, d, quadrature_norm(misfit, problem.quad_weights).tolist()
 
 
-def _result(
-    problem: TikhonovProblem, alpha: float, d: np.ndarray, residual: float
-) -> ReconstructionResult:
-    spline = ParameterSpline(problem.data.interval, _nodes(d, problem.spacing))
-    return ReconstructionResult(spline=spline, alpha=float(alpha), residual=residual)
+def _results(problem: TikhonovProblem, alphas, d, residuals):
+    """One ReconstructionResult per member: a tuple for a stack, else the one."""
+    interval = problem.members[0].interval
+    nodes = _nodes(np.asarray(d), problem.spacing)
+    results = tuple(
+        ReconstructionResult(ParameterSpline(interval, a), alpha=float(alpha), residual=r)
+        for alpha, a, r in zip(alphas, nodes, residuals)
+    )
+    return results[0] if isinstance(problem.data, TraceData) else results
 
 
-def solve_tikhonov(problem: TikhonovProblem, alpha: float) -> ReconstructionResult:
-    """Unique minimizer of the Tikhonov functional at parameter alpha > 0."""
-    _, d, residual = _solve(problem, alpha)
-    return _result(problem, alpha, d, residual)
+def _per_member(problem: TikhonovProblem, value) -> list:
+    """One value per member of the stack, from one value or a sequence of them."""
+    size = len(problem.members)
+    values = list(value) if np.ndim(value) else [value] * size
+    if len(values) != size:
+        raise ValueError(f"need one value per member ({size}), got {len(values)}")
+    return values
+
+
+def solve_tikhonov(problem: TikhonovProblem, alpha):
+    """Unique minimizer of the Tikhonov functional at parameter alpha > 0.
+
+    alpha is one value for every member or a sequence of one per member.
+    Returns a ReconstructionResult for a problem built from one TraceData,
+    else a tuple of them in stack order.
+    """
+    alphas = _per_member(problem, alpha)
+    _, d, residuals = _solve(problem, alphas, np.arange(len(alphas)))
+    return _results(problem, alphas, d, residuals)
 
 
 def tikhonov_objective(
     problem: TikhonovProblem, node_values: np.ndarray, alpha: float
 ) -> float:
-    """Value of the Tikhonov functional at the given nodal values."""
+    """Value of the Tikhonov functional at the given nodal values.
+
+    Defined for a problem built from one TraceData; raises ValueError for a
+    stack.
+    """
+    if not isinstance(problem.data, TraceData):
+        raise ValueError("tikhonov_objective takes a problem built from one data set")
     d = _coefficients(np.asarray(node_values, dtype=float), problem.spacing)
-    misfit = _apply(problem.t_rows, d) - problem.data.y_values
+    misfit = _apply(problem.t_rows, d[None])[0] - problem.y_values[0]
     return float(
-        np.sum(problem.data.quad_weights * misfit**2)
+        np.sum(problem.quad_weights * misfit**2)
         + alpha * (d @ _band_apply(problem.penalty_band, d))
     )
 
@@ -285,9 +383,44 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
     raise ValueError(f"unknown parameter-choice rule {rule!r}")
 
 
-def alpha_discrepancy(
-    problem: TikhonovProblem, delta: float, tau: float = 1.5
-) -> ReconstructionResult:
+class _Search:
+    """One member's bracket and Newton iterate in `alpha_discrepancy`."""
+
+    def __init__(self, delta: float, tau: float):
+        self.target_lo = target_lo = tau * delta
+        self.target_hi = 1.5 * tau * delta
+        self.window_hi = target_lo * (1 + DISCREPANCY_TOL)
+        self.log_goal = np.log(target_lo * (1 + DISCREPANCY_TOL / 2))
+        self.lo, self.hi = ALPHA_MIN, ALPHA_MAX
+        self.upper = None  # (d, residual) at hi once a tried alpha has reached target_lo
+        self.alpha = float(np.sqrt(self.lo * self.hi))
+        self.solves = 0
+
+    def landed(self, d: np.ndarray, res: float) -> bool:
+        """Take in the solve at self.alpha; True once the search is over."""
+        self.solves += 1
+        if res < self.target_lo:
+            self.lo = self.alpha
+        else:
+            self.hi, self.upper = self.alpha, (d, res)
+        return self.target_lo <= res <= self.window_hi or self.hi / self.lo < ALPHA_RATIO
+
+    def newton_step(self, res: float, w_minv_w: float) -> None:
+        """Move alpha by a Newton step on ln r, given w^T M^{-1} w."""
+        slope = self.alpha**2 * w_minv_w / res**2
+        gap = self.log_goal - np.log(res)
+        if abs(gap) < MAX_LOG_STEP * slope:
+            step = gap / slope
+        else:  # also when slope = 0, i.e. (K + P) d = 0
+            step = np.copysign(MAX_LOG_STEP, gap)
+        self.alpha *= np.exp(step)
+
+    def keep_in_bracket(self) -> None:
+        if not self.lo < self.alpha < self.hi:
+            self.alpha = float(np.sqrt(self.lo * self.hi))
+
+
+def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5):
     """Choose alpha a-posteriori so that the residual lands in [tau*d, 1.5*tau*d].
 
     The residual r is nondecreasing in alpha and tends to ||y||_W as alpha
@@ -308,64 +441,101 @@ def alpha_discrepancy(
     solution at hi.  When r(ALPHA_MIN) already lies in the bracket, the
     window is out of reach and the ALPHA_MIN solution is returned.
 
+    delta is one noise level for every member or a sequence of one per
+    member.  The members search side by side: each round factors and solves
+    the members still searching in one call, and a member drops out of the
+    rounds once its search is over.  Returns a ReconstructionResult for a
+    problem built from one TraceData, else a tuple of them in stack order.
+
     Raises NoiseLevelTooSmallError if the residual at ALPHA_MIN already
     exceeds the bracket, DataTooRoughError if ||y||_W stays below it, and
-    NumericalError if the upper end never lands inside it.
+    NumericalError if the upper end never lands inside it, for any member.
     """
-    if not 0 < delta < np.inf:
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
+    deltas = _per_member(problem, delta)
+    for value in deltas:
+        if not 0 < value < np.inf:
+            raise ValueError(f"delta must be finite and > 0, got {value}")
     if not 1 < tau < np.inf:
         raise ValueError(f"tau must be finite and > 1, got {tau}")
-    target_lo = tau * delta
-    target_hi = 1.5 * tau * delta
-    window_hi = target_lo * (1 + DISCREPANCY_TOL)
-    log_goal = np.log(target_lo * (1 + DISCREPANCY_TOL / 2))
+    searches = [_Search(value, tau) for value in deltas]
+    for value, search, y in zip(deltas, searches, problem.y_values):
+        data_norm = quadrature_norm(y, problem.quad_weights)
+        if data_norm < search.target_lo:
+            raise DataTooRoughError(
+                f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "
+                f"is below {search.target_lo:.3e}; the noise level {value:g} exceeds "
+                "the data scale"
+            )
 
-    data = problem.data
-    data_norm = quadrature_norm(data.y_values, data.quad_weights)
-    if data_norm < target_lo:
-        raise DataTooRoughError(
-            f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "
-            f"is below {target_lo:.3e}; the noise level {delta:g} exceeds the data scale"
-        )
-    _, d, res = _solve(problem, ALPHA_MIN)
-    if res > target_hi:
-        raise NoiseLevelTooSmallError(
-            f"residual {res:.3e} at alpha={ALPHA_MIN:g} already exceeds "
-            f"{target_hi:.3e}; the claimed noise level {delta:g} is below what "
-            "the data can be fitted to"
-        )
-    if res >= target_lo:
-        return _result(problem, ALPHA_MIN, d, res)
+    outcomes = [None] * len(searches)  # (alpha, d, residual) once a member is done
+    _, d, res = _solve(problem, [ALPHA_MIN] * len(searches), np.arange(len(searches)))
+    for i, (value, search) in enumerate(zip(deltas, searches)):
+        if res[i] > search.target_hi:
+            raise NoiseLevelTooSmallError(
+                f"residual {res[i]:.3e} at alpha={ALPHA_MIN:g} already exceeds "
+                f"{search.target_hi:.3e}; the claimed noise level {value:g} is below what "
+                "the data can be fitted to"
+            )
+        if res[i] >= search.target_lo:
+            outcomes[i] = (ALPHA_MIN, d[i], res[i])
 
-    lo, hi = ALPHA_MIN, ALPHA_MAX
-    upper = None  # (d, residual) at hi once a tried alpha has reached tau*delta
-    alpha = float(np.sqrt(lo * hi))
-    for solves in itertools.count(1):
-        factor, d, res = _solve(problem, alpha)
-        if res < target_lo:
-            lo = alpha
-        else:
-            hi, upper = alpha, (d, res)
-        if target_lo <= res <= window_hi or hi / lo < ALPHA_RATIO:
-            break
-        if solves <= MAX_NEWTON_STEPS:
-            w = _band_apply(problem.penalty_band, d)
-            slope = alpha**2 * (w @ _apply_inverse(factor, w)) / res**2
-            gap = log_goal - np.log(res)
-            if abs(gap) < MAX_LOG_STEP * slope:
-                step = gap / slope
-            else:  # also when slope = 0, i.e. (K + P) d = 0
-                step = np.copysign(MAX_LOG_STEP, gap)
-            alpha *= np.exp(step)
-        if not lo < alpha < hi:
-            alpha = float(np.sqrt(lo * hi))
-    if upper is None or upper[1] > target_hi:
-        raise NumericalError(
-            "discrepancy search did not land in the residual bracket "
-            f"[{target_lo:.3e}, {target_hi:.3e}]"
-        )
-    return _result(problem, hi, *upper)
+    active = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    while active:
+        factor, d, res = _solve(problem, [searches[i].alpha for i in active], active)
+        going = [j for j, i in enumerate(active) if not searches[i].landed(d[j], res[j])]
+        x = None
+        for j in going:
+            search = searches[active[j]]
+            if search.solves <= MAX_NEWTON_STEPS:
+                if x is None:  # one back-substitution gives every member's slope
+                    w = _band_apply(problem.penalty_band, d)
+                    x = _apply_inverse(factor, w)
+                search.newton_step(res[j], w[j] @ x[j])
+            search.keep_in_bracket()
+        active = [active[j] for j in going]
+
+    for i, search in enumerate(searches):
+        if outcomes[i] is not None:
+            continue
+        if search.upper is None or search.upper[1] > search.target_hi:
+            raise NumericalError(
+                "discrepancy search did not land in the residual bracket "
+                f"[{search.target_lo:.3e}, {search.target_hi:.3e}]"
+            )
+        outcomes[i] = (search.hi, *search.upper)
+    return _results(problem, *zip(*outcomes))
+
+
+def _nearest(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Index of the value nearest to each point, as argmin |values - point| picks it.
+
+    A stable sort keeps equal values in index order, so the first of a run
+    of equal values has the lowest index.  The candidates are the runs just
+    below and at or above each point.  A computed distance |v - point| is
+    monotone in v on either side of the point, so a farther value can tie
+    with the nearest only if it is next to a candidate run; the rare point
+    where one does falls back to the full argmin.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    m = values.size
+    split = np.searchsorted(ordered, points)  # ordered[:split] < point <= ordered[split:]
+    below = np.searchsorted(ordered, ordered[np.maximum(split - 1, 0)])
+    above = np.minimum(split, m - 1)
+    dist_below = np.where(split > 0, np.abs(ordered[below] - points), np.inf)
+    dist_above = np.where(split < m, np.abs(ordered[above] - points), np.inf)
+    best = np.minimum(dist_below, dist_above)
+    nearest = np.minimum(
+        np.where(dist_below == best, order[below], m),
+        np.where(dist_above == best, order[above], m),
+    )
+    before = below - 1
+    after = np.searchsorted(ordered, ordered[above], side="right")
+    tied = (before >= 0) & (np.abs(ordered[before] - points) == best)
+    tied |= (after < m) & (np.abs(ordered[np.minimum(after, m - 1)] - points) == best)
+    for i in np.flatnonzero(tied):
+        nearest[i] = np.argmin(np.abs(values - points[i]))
+    return nearest
 
 
 def naive_reconstruction(
@@ -376,8 +546,9 @@ def naive_reconstruction(
     y' is estimated with central differences over the curve parameter
     (one-sided at the ends), h' comes from the curve analytically, and the
     pointwise estimates are resampled onto the uniform spline grid by
-    nearest attained state.  Amplifies data noise by 1/ds; kept as the
-    instability contrast for the regularized solver.
+    nearest attained state (the lowest data index among equally near ones).
+    Amplifies data noise by 1/ds; kept as the instability contrast for the
+    regularized solver.
     """
     if data.m < 3:
         raise ValueError(f"need at least 3 data points, got {data.m}")
@@ -396,5 +567,4 @@ def naive_reconstruction(
         )
     estimates = dy / slope
     grid = data.interval.uniform_grid(n_elements)
-    nearest = np.argmin(np.abs(data.h_values[None, :] - grid[:, None]), axis=1)
-    return ParameterSpline(data.interval, estimates[nearest])
+    return ParameterSpline(data.interval, estimates[_nearest(data.h_values, grid)])

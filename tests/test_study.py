@@ -1,14 +1,24 @@
+import logging
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from difflaw import (
     ConvergenceRecord,
+    NoiseLevelTooSmallError,
     StudyConfig,
+    add_noise,
+    alpha_discrepancy,
+    build_tikhonov_problem,
     derive_seed,
     emit_csv,
     emit_plot_data,
     fit_rate,
+    exact_parameter_spline,
     read_records_csv,
+    reference_exact_data,
     run_study,
 )
 from difflaw import study, tikhonov
@@ -183,31 +193,98 @@ def test_study_continues_past_failing_cells():
     assert [r.delta for r in records] == [1e-3]
 
 
+# at 2.4e-9, next to the discretization floor, trials 2 and 4 of six raise
+# NoiseLevelTooSmallError at seed 0 and the other four land
+PARTLY_FAILING = StudyConfig(
+    delta_list=(1e-3, 2.4e-9), alpha_rule="discrepancy", trials=6, base_seed=0
+)
+
+
+def test_partly_failing_level_matches_cell_by_cell():
+    # the level's stack fails, so its trials are solved again one by one:
+    # the records and warnings are those of solving every cell alone
+    config = PARTLY_FAILING
+    exact_data = reference_exact_data(config.m_quad)
+    exact_spline = exact_parameter_spline(config.n_spline)
+    expected_records, expected_warnings = [], []
+    for delta in config.delta_list:
+        for trial in range(config.trials):
+            seed = derive_seed(config.base_seed, delta, trial)
+            data = add_noise(exact_data, delta, np.random.default_rng(seed))
+            problem = build_tikhonov_problem(data, config.n_spline)
+            try:
+                result = alpha_discrepancy(problem, delta, tau=1.5)
+            except NoiseLevelTooSmallError as exc:
+                expected_warnings.append(
+                    f"study cell (delta={delta:g}, trial={trial}) failed: {exc}"
+                )
+                continue
+            diff = result.spline - exact_spline
+            expected_records.append(
+                ConvergenceRecord(
+                    delta, result.alpha, trial, seed, diff.l2_norm(), diff.h1_norm(),
+                    result.residual,
+                )
+            )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = run_study(config)
+    assert records == expected_records
+    assert [str(w.message) for w in caught] == expected_warnings
+    assert {w.filename for w in caught} == {__file__}  # the caller of run_study
+    assert [r.trial for r in records if r.delta == 2.4e-9] == [0, 1, 3, 5]
+
+
+def test_verbose_log_lines(caplog):
+    # DIFFLAW_VERBOSE logs one line per cell with a record, in (delta, trial)
+    # order; the failing trials log nothing
+    caplog.set_level(logging.INFO, logger="difflaw.study")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        records = run_study(PARTLY_FAILING)
+    lines = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert lines == [
+        (
+            "difflaw.study",
+            logging.INFO,
+            f"cell delta={r.delta:g} trial={r.trial}: err0={r.err0:.4g}",
+        )
+        for r in records
+    ]
+    assert [line[2].split(":")[0] for line in lines] == [
+        *(f"cell delta=0.001 trial={t}" for t in range(6)),
+        *(f"cell delta=2.4e-09 trial={t}" for t in (0, 1, 3, 5)),
+    ]
+
+
 def test_penalty_assembled_once_per_study():
     # a count, not a timing: K + P depends on the grid alone, so the 40
-    # cells of the benchmark's study-apriori job assemble it once
+    # cells of the benchmark's study-apriori job assemble it once; each of
+    # the four noise levels builds one stack, and the other three hit the memo
     tikhonov._penalty_band.cache_clear()
     config = StudyConfig(delta_list=(1e-2, 1e-3, 1e-4, 1e-5), trials=10, base_seed=0)
     assert len(run_study(config)) == 40
     info = tikhonov._penalty_band.cache_info()
-    assert (info.misses, info.hits) == (1, 39)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_discrepancy_factorizations_per_cell(monkeypatch):
     # a count, not a timing: factorizations per cell of the discrepancy
-    # search on the 40 cells of the benchmark's study-discrepancy job
+    # search on the 40 cells of the benchmark's study-discrepancy job.  A
+    # level's cells are factored side by side, so each call counts once for
+    # every member (cell) it factors
     factor, search = tikhonov._factor, study.alpha_discrepancy
-    calls, per_cell = [0], []
+    calls, per_cell = Counter(), []
 
-    def counting_factor(problem, alpha):
-        calls[0] += 1
-        return factor(problem, alpha)
+    def counting_factor(problem, alphas, members):
+        calls.update(int(i) for i in members)
+        return factor(problem, alphas, members)
 
     def counting_search(problem, delta, tau):
-        before = calls[0]
-        result = search(problem, delta, tau=tau)
-        per_cell.append(calls[0] - before)
-        return result
+        calls.clear()
+        results = search(problem, delta, tau=tau)
+        per_cell.extend(calls[i] for i in range(len(results)))
+        return results
 
     monkeypatch.setattr(tikhonov, "_factor", counting_factor)
     monkeypatch.setattr(study, "alpha_discrepancy", counting_search)

@@ -25,7 +25,7 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
-from difflaw.tikhonov import _penalty_band
+from difflaw.tikhonov import ALPHA_MIN, _nearest, _penalty_band
 
 
 def _noisy(exact_data, delta, seed):
@@ -115,7 +115,13 @@ def test_equal_intervals_compute_alike():
 
 def test_problem_arrays_are_read_only(exact_data):
     problem = build_tikhonov_problem(exact_data, 50)
-    arrays = (problem.normal_band, problem.penalty_band, problem.normal_rhs, *problem.t_rows)
+    arrays = (
+        problem.normal_band,
+        problem.penalty_band,
+        problem.normal_rhs,
+        problem.y_values,
+        *problem.t_rows,
+    )
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] *= 0
@@ -133,6 +139,75 @@ def test_numpy_integer_n_elements(exact_data):
     problem = build_tikhonov_problem(exact_data, np.int64(7))
     assert type(problem.n_elements) is int
     assert problem.penalty_band is build_tikhonov_problem(exact_data, 7).penalty_band
+
+
+def _same(result, other):
+    return (
+        result.alpha == other.alpha
+        and result.residual == other.residual
+        and result.spline.node_values.tobytes() == other.spline.node_values.tobytes()
+    )
+
+
+# (n, m, noise levels): one noise level and one draw per member
+STACKS = [
+    (1, 20, np.geomspace(8e-2, 2e-2, 10)),
+    (200, 500, [3e-3]),
+    # 2.45e-9 and 2.5e-9 sit at the discretization floor and end at ALPHA_MIN
+    (200, 500, [1e-2, 2.45e-9, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 2.5e-9]),
+]
+
+
+@pytest.mark.parametrize("n, m, deltas", STACKS)
+def test_stack_members_solve_as_alone(n, m, deltas):
+    # each member of a stack, bit for bit, as its own stack of one and as a
+    # problem built from its one data set, at its own alpha
+    exact = reference_exact_data(m)
+    data = [_noisy(exact, delta, seed) for seed, delta in enumerate(deltas)]
+    alphas = np.geomspace(1e-9, 1e-3, len(data))
+    stacked = solve_tikhonov(build_tikhonov_problem(data, n), alphas)
+    assert isinstance(stacked, tuple) and len(stacked) == len(data)
+    for member, alpha, result in zip(data, alphas, stacked):
+        (alone,) = solve_tikhonov(build_tikhonov_problem([member], n), [alpha])
+        assert _same(result, alone)
+        assert _same(result, solve_tikhonov(build_tikhonov_problem(member, n), alpha))
+
+
+@pytest.mark.parametrize("n, m, deltas", STACKS)
+def test_stack_members_search_as_alone(n, m, deltas):
+    # the members freeze in different rounds of the side-by-side search
+    # (two at ALPHA_MIN), and each ends bit for bit where it ends alone
+    exact = reference_exact_data(m)
+    data = [_noisy(exact, delta, seed) for seed, delta in enumerate(deltas)]
+    stacked = alpha_discrepancy(build_tikhonov_problem(data, n), deltas)
+    assert isinstance(stacked, tuple) and len(stacked) == len(data)
+    for member, delta, result in zip(data, deltas, stacked):
+        (alone,) = alpha_discrepancy(build_tikhonov_problem([member], n), [delta])
+        assert _same(result, alone)
+        assert _same(result, alpha_discrepancy(build_tikhonov_problem(member, n), delta))
+    if len(deltas) == 10 and n == 200:
+        assert [r.alpha == ALPHA_MIN for r in stacked].count(True) == 2
+
+
+def test_stack_needs_one_grid(exact_data):
+    others = [
+        replace(exact_data, interval=StateInterval(-1.0, 1.0)),
+        replace(exact_data, quad_weights=exact_data.quad_weights * 1.01),
+        replace(exact_data, s_nodes=exact_data.s_nodes + 1e-3),
+        reference_exact_data(400),
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="share the interval, s_nodes and quad_weights"):
+            build_tikhonov_problem([exact_data, other], 50)
+    for bad in ([], [exact_data, exact_data.y_values], "data"):
+        with pytest.raises(ValueError, match="TraceData"):
+            build_tikhonov_problem(bad, 50)
+    stack = build_tikhonov_problem([exact_data, exact_data], 50)
+    assert stack.normal_band.shape == (2, 3, 51) and stack.t_rows[1].shape == (2, 500, 3)
+    with pytest.raises(ValueError, match="one value per member"):
+        solve_tikhonov(stack, [1e-6, 1e-6, 1e-6])
+    with pytest.raises(ValueError, match="one data set"):
+        tikhonov_objective(stack, np.zeros(51), 1e-6)
 
 
 def test_alpha_must_be_positive(exact_data):
@@ -266,6 +341,17 @@ def test_naive_constant_data(exact_data):
 
 def test_naive_amplifies_noise():
     checks.check_naive_contrast(seeds=range(50, 55))
+
+
+def test_nearest_state_ties():
+    # the two states near 0 round to one distance from the nodes at -1 and
+    # 0.25 (where 0.5 ties with them too), and 0.5 and 0.75 are equally near
+    # 0.625: argmin takes the lowest data index each time
+    values = np.array([2e-17, 1e-17, 0.5, 0.5, 0.75])
+    grid = np.array([-1.0, 0.0, 0.25, 0.625, 1.0])
+    expected = np.argmin(np.abs(values[None, :] - grid[:, None]), axis=1)
+    assert expected.tolist() == [0, 1, 0, 2, 4]
+    assert np.array_equal(_nearest(values, grid), expected)
 
 
 def test_naive_requires_three_points(exact_data):
