@@ -506,38 +506,6 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5):
     return _results(problem, *zip(*outcomes))
 
 
-def _nearest(values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Index of the value nearest to each point, as argmin |values - point| picks it.
-
-    A stable sort keeps equal values in index order, so the first of a run
-    of equal values has the lowest index.  The candidates are the runs just
-    below and at or above each point.  A computed distance |v - point| is
-    monotone in v on either side of the point, so a farther value can tie
-    with the nearest only if it is next to a candidate run; the rare point
-    where one does falls back to the full argmin.
-    """
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    m = values.size
-    split = np.searchsorted(ordered, points)  # ordered[:split] < point <= ordered[split:]
-    below = np.searchsorted(ordered, ordered[np.maximum(split - 1, 0)])
-    above = np.minimum(split, m - 1)
-    dist_below = np.where(split > 0, np.abs(ordered[below] - points), np.inf)
-    dist_above = np.where(split < m, np.abs(ordered[above] - points), np.inf)
-    best = np.minimum(dist_below, dist_above)
-    nearest = np.minimum(
-        np.where(dist_below == best, order[below], m),
-        np.where(dist_above == best, order[above], m),
-    )
-    before = below - 1
-    after = np.searchsorted(ordered, ordered[above], side="right")
-    tied = (before >= 0) & (np.abs(ordered[before] - points) == best)
-    tied |= (after < m) & (np.abs(ordered[np.minimum(after, m - 1)] - points) == best)
-    for i in np.flatnonzero(tied):
-        nearest[i] = np.argmin(np.abs(values - points[i]))
-    return nearest
-
-
 def naive_reconstruction(
     data: TraceData, curve: CurveParametrization, n_elements: int
 ) -> ParameterSpline:
@@ -546,9 +514,8 @@ def naive_reconstruction(
     y' is estimated with central differences over the curve parameter
     (one-sided at the ends), h' comes from the curve analytically, and the
     pointwise estimates are resampled onto the uniform spline grid by
-    nearest attained state (the lowest data index among equally near ones).
-    Amplifies data noise by 1/ds; kept as the instability contrast for the
-    regularized solver.
+    nearest attained state.  Amplifies data noise by 1/ds; kept as the
+    instability contrast for the regularized solver.
     """
     if data.m < 3:
         raise ValueError(f"need at least 3 data points, got {data.m}")
@@ -567,4 +534,5 @@ def naive_reconstruction(
         )
     estimates = dy / slope
     grid = data.interval.uniform_grid(n_elements)
-    return ParameterSpline(data.interval, estimates[_nearest(data.h_values, grid)])
+    nearest = np.argmin(np.abs(data.h_values[None, :] - grid[:, None]), axis=1)
+    return ParameterSpline(data.interval, estimates[nearest])

@@ -18,7 +18,7 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
-from difflaw.tikhonov import ALPHA_MIN, DISCREPANCY_TOL, _nearest
+from difflaw.tikhonov import ALPHA_MIN, DISCREPANCY_TOL
 
 intervals = st.builds(
     lambda lo, length: StateInterval(lo, lo + length),
@@ -84,21 +84,3 @@ def test_discrepancy_lands_in_window(n, m_factor, log_delta, tau, seed):
         assert tau * delta <= result.residual <= window
     again = solve_tikhonov(problem, result.alpha).residual
     assert abs(again - result.residual) <= 1e-12 * result.residual
-
-
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(n=st.integers(1, 16), m=st.integers(3, 40), data=st.data())
-def test_nearest_state_matches_argmin(n, m, data):
-    # states at quarter node spacings give exact distance ties, states past
-    # the ends are clamped to them and repeat exactly, the rest are arbitrary
-    # floats: the sorted search picks what the brute-force argmin picks
-    interval = StateInterval(-1.0, 1.0)
-    grid = interval.uniform_grid(n)
-    states = st.one_of(
-        st.integers(-4 * n - 8, 4 * n + 8).map(lambda k: k / (2 * n)),
-        st.floats(-1.5, 1.5),
-        st.sampled_from([-1e-17, 0.0, 1e-17, 2e-17]),
-    )
-    values = np.clip(data.draw(st.lists(states, min_size=m, max_size=m)), -1.0, 1.0)
-    expected = np.argmin(np.abs(values[None, :] - grid[:, None]), axis=1)
-    assert np.array_equal(_nearest(values, grid), expected)

@@ -25,7 +25,7 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
-from difflaw.tikhonov import ALPHA_MIN, _nearest, _penalty_band
+from difflaw.tikhonov import ALPHA_MIN, _penalty_band
 
 
 def _noisy(exact_data, delta, seed):
@@ -341,17 +341,6 @@ def test_naive_constant_data(exact_data):
 
 def test_naive_amplifies_noise():
     checks.check_naive_contrast(seeds=range(50, 55))
-
-
-def test_nearest_state_ties():
-    # the two states near 0 round to one distance from the nodes at -1 and
-    # 0.25 (where 0.5 ties with them too), and 0.5 and 0.75 are equally near
-    # 0.625: argmin takes the lowest data index each time
-    values = np.array([2e-17, 1e-17, 0.5, 0.5, 0.75])
-    grid = np.array([-1.0, 0.0, 0.25, 0.625, 1.0])
-    expected = np.argmin(np.abs(values[None, :] - grid[:, None]), axis=1)
-    assert expected.tolist() == [0, 1, 0, 2, 4]
-    assert np.array_equal(_nearest(values, grid), expected)
 
 
 def test_naive_requires_three_points(exact_data):
