@@ -10,6 +10,8 @@ controls log verbosity and nothing else.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import logging
 import os
 import sys
@@ -33,6 +35,26 @@ from .study import (
     run_study,
 )
 from .tikhonov import build_tikhonov_problem, solve_tikhonov
+
+
+# glibc's mallopt parameter for the heap kept above its top when it grows or trims
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 4 << 20
+
+
+@functools.cache
+def _pad_heap() -> None:
+    """Keep _HEAP_TOP_PAD bytes at the top of the heap, once per process, under glibc.
+
+    By default glibc trims the heap top back to 128 KB after each free, so a
+    process that runs several commands faults their numpy temporaries in
+    again each time.  Without glibc's mallopt nothing is changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 class UsageError(ValueError):
@@ -195,6 +217,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def main(argv=None) -> int:
+    _pad_heap()
     if os.environ.get("DIFFLAW_VERBOSE"):
         logging.basicConfig(level=logging.INFO)
     parser = build_parser()

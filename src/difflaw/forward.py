@@ -11,7 +11,7 @@ are perturbed together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,30 +70,45 @@ class TraceData:
     interval: StateInterval
 
     def __post_init__(self):
-        for name in ("s_nodes", "quad_weights", "h_values", "y_values"):
+        self._check(("s_nodes", "quad_weights", "h_values", "y_values"))
+
+    def _check(self, fresh: tuple) -> None:
+        """Store read-only float copies of the `fresh` arrays and check the data.
+
+        The arrays not named in `fresh` were checked when they were stored.
+        """
+        for name in fresh:
             arr = np.array(getattr(self, name), dtype=float, copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         m = self.s_nodes.size
-        if any(
-            getattr(self, name).size != m
-            for name in ("quad_weights", "h_values", "y_values")
-        ):
+        if any(getattr(self, name).size != m for name in fresh):
             raise ValueError("all data arrays must have equal length")
         # non-finite h_values fall outside the interval and raise DomainError below
         for name in ("s_nodes", "quad_weights", "y_values"):
-            if not np.isfinite(getattr(self, name)).all():
+            if name in fresh and not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if np.any(self.quad_weights <= 0):
+        if "quad_weights" in fresh and np.any(self.quad_weights <= 0):
             raise ValueError("quadrature weights must be positive")
         if not 0 <= self.delta < np.inf:
             raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
-        if np.any(~self.interval.contains(self.h_values)):
+        if "h_values" in fresh and np.any(~self.interval.contains(self.h_values)):
             i = int(np.argmax(~self.interval.contains(self.h_values)))
             raise DomainError(
                 f"h_values[{i}]={self.h_values[i]!r} outside the state interval; "
                 "perturbed data must be clamped"
             )
+
+    def _with_values(self, h_values, y_values, delta: float) -> TraceData:
+        """Like `dataclasses.replace` of h, y and delta, sharing s_nodes and quad_weights.
+
+        Only the new values are copied and checked; the shared arrays were
+        checked when this data was built.
+        """
+        data = object.__new__(type(self))
+        data.__dict__.update(self.__dict__, h_values=h_values, y_values=y_values, delta=delta)
+        data._check(("h_values", "y_values"))
+        return data
 
     @property
     def m(self) -> int:
@@ -138,9 +153,7 @@ def add_noise(data: TraceData, delta: float, rng: np.random.Generator) -> TraceD
     xi = rng.uniform(-delta, delta, data.m)
     eta = rng.uniform(-delta, delta, data.m)
     h_noisy = np.clip(data.h_values + xi, data.interval.u_min, data.interval.u_max)
-    return replace(
-        data, h_values=h_noisy, y_values=data.y_values + eta, delta=float(delta)
-    )
+    return data._with_values(h_noisy, data.y_values + eta, float(delta))
 
 
 def apply_t(spline: ParameterSpline, data: TraceData) -> np.ndarray:

@@ -19,6 +19,8 @@ and the normalization A(u_min) = 0 is d_{-1} = -d_0, folded into column 0.
 Every row of T and of the penalties then has three nonzeros, so the normal
 matrix T^T W T + alpha (K + P) is a symmetric positive definite band of
 half-width 2, factored by one banded Cholesky (LAPACK dpbtrf) per alpha.
+LAPACK is numpy's own: the OpenBLAS that numpy's wheels bundle as
+scipy-openblas64, called through ctypes with 64-bit integers.
 The nodal values are a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
 
 The penalty K + P depends on the grid alone, so its band is assembled once
@@ -48,12 +50,13 @@ instability baseline.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from numpy.linalg import _umath_linalg
 
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, quadrature_norm
@@ -84,6 +87,39 @@ MAX_LOG_STEP = np.log(100.0)
 MAX_NEWTON_STEPS = int(
     np.ceil(np.log2(np.log(ALPHA_MAX / ALPHA_MIN) / np.log(ALPHA_RATIO)))
 )
+
+
+# arguments are passed by reference: integers as ctypes.c_int64 values, arrays
+# as `_first` of their (contiguous, writable) memory
+_INT = ctypes.POINTER(ctypes.c_int64)
+_int = ctypes.c_int64
+_DOUBLES = ctypes.POINTER(ctypes.c_double)
+_first = ctypes.c_double.from_buffer
+
+
+def _lapack(name: str, *argtypes):
+    """LAPACK routine `name` from numpy's bundled OpenBLAS (scipy-openblas64).
+
+    numpy's linalg extension links that OpenBLAS, so its handle resolves the
+    library's symbols.  The trailing size_t is the Fortran length of the
+    one-character `uplo` argument.
+    """
+    try:
+        routine = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}_64_")
+    except AttributeError:
+        raise ImportError(
+            f"difflaw needs LAPACK {name} from the OpenBLAS that numpy's wheels "
+            f"bundle (scipy-openblas64, numpy>=2.4 from PyPI); numpy {np.__version__} "
+            f"at {np.__file__} does not export scipy_{name}_64_"
+        ) from None
+    routine.argtypes = (ctypes.c_char_p, *argtypes, ctypes.c_size_t)
+    routine.restype = None
+    return routine
+
+
+# (uplo, n, kd, ab, ldab, info) and (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
+_dpbtrf = _lapack("dpbtrf", _INT, _INT, _DOUBLES, _INT, _INT)
+_dpbtrs = _lapack("dpbtrs", _INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT)
 
 
 def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,6 +251,11 @@ def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
     return band
 
 
+def _same(ours: np.ndarray, theirs: np.ndarray) -> bool:
+    # noisy data from `add_noise` shares the arrays of its source
+    return ours is theirs or np.array_equal(ours, theirs)
+
+
 def _stack_members(data) -> tuple:
     """The data sets of a stack: `data` itself, or a sequence sharing its grid."""
     members = (data,) if isinstance(data, TraceData) else tuple(data)
@@ -224,8 +265,8 @@ def _stack_members(data) -> tuple:
     for member in members[1:]:
         if not (
             member.interval == head.interval
-            and np.array_equal(member.s_nodes, head.s_nodes)
-            and np.array_equal(member.quad_weights, head.quad_weights)
+            and _same(member.s_nodes, head.s_nodes)
+            and _same(member.quad_weights, head.quad_weights)
         ):
             raise ValueError(
                 "stacked data sets must share the interval, s_nodes and quad_weights"
@@ -276,17 +317,22 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
 
     `members` indexes the stack and `alphas` holds one alpha for each of
     them.  Their bands are factored side by side: the factor is one upper
-    band (3, len(members) (n+1)).
+    band, stored as the (len(members), n+1, 3) array whose memory is the
+    Fortran (3, len(members) (n+1)) band of LAPACK.
     """
     for alpha in alphas:
         if not 0 < alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    scaled = np.array(alphas)[:, None, None] * problem.penalty_band
-    factor, info = dpbtrf(np.concatenate(problem.normal_band[members] + scaled, axis=1))
+    size = problem.n_elements + 1
+    # factored in place; C order makes it LAPACK's Fortran-ordered band
+    factor = np.multiply.outer(alphas, problem.penalty_band.T, order="C")
+    factor += problem.normal_band[members].transpose(0, 2, 1)
+    status = _int()
+    _dpbtrf(b"U", _int(factor.size // 3), _int(2), _first(factor), _int(3), status, 1)
+    info = status.value
     # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
     # overflowed shows only as a non-finite diagonal of the factor
-    size = problem.n_elements + 1
-    finite = np.isfinite(factor[2]).reshape(len(alphas), size).all(axis=1)
+    finite = np.isfinite(factor[..., 2]).all(axis=1)
     if info != 0 or not finite.all():
         k = (info - 1) // size if info > 0 else int(np.argmin(finite))
         raise NumericalError(
@@ -299,8 +345,13 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
 
 def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve M x = rhs, rhs (k, n+1), member by member with the factor of `_factor`."""
-    x, _ = dpbtrs(factor, rhs.ravel())  # info < 0 only flags an illegal argument
-    return x.reshape(rhs.shape)
+    x = np.array(rhs, dtype=float)
+    if 3 * x.size != factor.size:
+        raise ValueError(f"right-hand sides {x.shape} do not fit the factor {factor.shape}")
+    # the status is not read: dpbtrs fails only on an illegal argument
+    size = _int(x.size)
+    _dpbtrs(b"U", size, _int(2), _int(1), _first(factor), _int(3), _first(x), size, _int(), 1)
+    return x
 
 
 def _solve(

@@ -222,15 +222,21 @@ def _run_python(args, cwd=None):
     )
 
 
-def test_cli_import_skips_scipy_optimize():
+def test_cli_loads_no_scipy(tmp_path):
+    # LAPACK comes from numpy's own OpenBLAS; scipy is not a dependency
     probe = (
         "import sys, difflaw.cli, difflaw as dl; "
         "dl.mapping_weight(dl.reference_curve(), 0.3); "
-        "print('scipy.optimize' in sys.modules)"
+        "main = difflaw.cli.main; "
+        "assert main(['reconstruct', '--delta', '1e-3', '--alpha', '1e-6', "
+        "'--n', '50', '--m', '100', '--out', 'spline.csv']) == 0; "
+        "assert main(['study', '--deltas', '1e-2,1e-3', '--trials', '2', "
+        "'--n', '50', '--m', '100', '--out', 'run']) == 0; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    done = _run_python(["-c", probe])
+    done = _run_python(["-c", probe], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_checks_fail_under_optimize():

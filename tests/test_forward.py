@@ -95,6 +95,25 @@ def test_trace_data_rejects_non_finite(exact_data, field, bad):
         replace(exact_data, **{field: value})
 
 
+def test_add_noise_shares_checked_nodes(exact_data):
+    noisy = add_noise(exact_data, 1e-3, np.random.default_rng(0))
+    assert noisy.s_nodes is exact_data.s_nodes
+    assert noisy.quad_weights is exact_data.quad_weights
+    for name in ("s_nodes", "quad_weights", "h_values", "y_values"):
+        assert not getattr(noisy, name).flags.writeable
+    # the new values are still checked
+    near_max = replace(exact_data, y_values=np.full(exact_data.m, np.finfo(float).max))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="y_values must be finite"):
+        add_noise(near_max, 1e300, np.random.default_rng(0))
+    h, y = exact_data.h_values, exact_data.y_values
+    with pytest.raises(DomainError, match="outside the state interval"):
+        exact_data._with_values(h + 10.0, y, 0.0)
+    with pytest.raises(ValueError, match="equal length"):
+        exact_data._with_values(h, y[:-1], 0.0)
+    with pytest.raises(ValueError, match="delta"):
+        exact_data._with_values(h, y, -1.0)
+
+
 def test_add_noise_deterministic(exact_data):
     a = add_noise(exact_data, 1e-3, np.random.default_rng(7))
     b = add_noise(exact_data, 1e-3, np.random.default_rng(7))

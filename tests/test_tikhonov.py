@@ -25,7 +25,7 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
-from difflaw.tikhonov import ALPHA_MIN, _penalty_band
+from difflaw.tikhonov import ALPHA_MIN, _apply_inverse, _factor, _lapack, _penalty_band
 
 
 def _noisy(exact_data, delta, seed):
@@ -208,6 +208,49 @@ def test_stack_needs_one_grid(exact_data):
         solve_tikhonov(stack, [1e-6, 1e-6, 1e-6])
     with pytest.raises(ValueError, match="one data set"):
         tikhonov_objective(stack, np.zeros(51), 1e-6)
+
+
+def _dense(band):
+    """The symmetric matrix whose upper band, in `dpbtrf` layout, is `band`."""
+    dense = np.diag(band[2])
+    for k in (1, 2):
+        dense = dense + np.diag(band[2 - k, k:], k) + np.diag(band[2 - k, k:], -k)
+    return dense
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 200])
+@pytest.mark.parametrize("count", [1, 3])
+def test_factor_solves_like_dense(n, count):
+    # the LAPACK binding against numpy's dense solve, member by member
+    data = [_data_on(reference_interval(), seed, m=500) for seed in range(count)]
+    problem = build_tikhonov_problem(data, n)
+    alphas = [1e-6, 1e-5, 1e-4][:count]
+    rhs = np.random.default_rng(n).normal(size=(count, n + 1))
+    given = rhs.copy()
+    factor = _factor(problem, alphas, np.arange(count))
+    x = _apply_inverse(factor, rhs)
+    np.testing.assert_array_equal(rhs, given)
+    with pytest.raises(ValueError, match="do not fit the factor"):
+        _apply_inverse(factor, rhs[:, 1:])
+    for i, alpha in enumerate(alphas):
+        dense = _dense(problem.normal_band[i] + alpha * problem.penalty_band)
+        expected = np.linalg.solve(dense, rhs[i])
+        assert np.linalg.norm(x[i] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_factor_names_the_indefinite_member(exact_data):
+    # LAPACK's info, read back as a 64-bit integer, locates the failing pivot
+    problem = build_tikhonov_problem([exact_data] * 3, 20)
+    normal_band = problem.normal_band.copy()
+    normal_band[1, 2, 5] = -1e6
+    indefinite = replace(problem, normal_band=normal_band)
+    with pytest.raises(NumericalError, match=r"alpha=0\.2 \(size 21, LAPACK info 6\)"):
+        _factor(indefinite, [0.1, 0.2, 0.3], np.arange(3))
+
+
+def test_missing_lapack_routine_names_the_numpy_build():
+    with pytest.raises(ImportError, match=r"scipy-openblas64, numpy>=2\.4"):
+        _lapack("dnosuch")
 
 
 def test_alpha_must_be_positive(exact_data):
