@@ -25,6 +25,7 @@ from .exceptions import NumericalError
 from .forward import add_noise
 from .reference import exact_parameter_spline, reference_exact_data
 from .study import (
+    COLUMNS,
     RATE_LINES,
     StudyConfig,
     derive_seed,
@@ -172,17 +173,19 @@ def _cmd_study(args) -> int:
         raise NumericalError("every study cell failed")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # one median per column and noise level, shared by the table, the fits and the plot data
+    medians = {column: median_by_delta(records, column) for column in COLUMNS}
     emit_csv(records, out / "records.csv")
-    emit_plot_data(records, out / "study", RATE_LINES[config.rule[0]])
+    emit_plot_data(records, out / "study", RATE_LINES[config.rule[0]], medians=medians)
 
     print(f"wrote {out / 'records.csv'} ({len(records)} records)")
     print("delta        median err0   median err1   median residual")
-    columns = ("err0", "err1", "residual")
-    err0, err1, residual = (median_by_delta(records, column) for column in columns)
+    err0, err1, residual = (medians[column] for column in COLUMNS)
     for d in err0:
         print(f"{d:<12g} {err0[d]:<13.6f} {err1[d]:<13.6f} {residual[d]:.6f}")
+    include = args.include_inverse_crime
     try:
-        slopes = {c: fit_rate(records, c, args.include_inverse_crime) for c in columns}
+        slopes = {c: fit_rate(records, c, include, medians=medians) for c in COLUMNS}
     except ValueError:  # fewer than three usable noise levels
         slopes = {}
     for column, slope in slopes.items():

@@ -17,7 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .splines import ParameterSpline, StateInterval, antiderivative_l2_norm
+from .splines import (
+    ParameterSpline,
+    StateInterval,
+    _antiderivative,
+    _node_stack,
+    antiderivative_l2_norm,
+)
 
 __all__ = [
     "CurveParametrization",
@@ -115,6 +121,14 @@ class TraceData:
         return self.s_nodes.size
 
 
+def _midpoint_rule(curve: CurveParametrization, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and equal weights (s_hi - s_lo) / m of the m-point composite midpoint rule."""
+    if m < 2:
+        raise ValueError(f"need m >= 2 quadrature nodes, got {m}")
+    ds = (curve.s_hi - curve.s_lo) / m
+    return curve.s_lo + (np.arange(m) + 0.5) * ds, np.full(m, ds)
+
+
 def make_exact_data(
     curve: CurveParametrization,
     antiderivative_exact: Callable[[np.ndarray], np.ndarray],
@@ -125,15 +139,12 @@ def make_exact_data(
     Midpoint nodes avoid endpoint evaluations and carry equal weights
     (s_hi - s_lo) / m.
     """
-    if m < 2:
-        raise ValueError(f"need m >= 2 quadrature nodes, got {m}")
-    ds = (curve.s_hi - curve.s_lo) / m
-    s = curve.s_lo + (np.arange(m) + 0.5) * ds
+    s, weights = _midpoint_rule(curve, m)
     h = np.asarray(curve.h(s), dtype=float)
     y = np.asarray(antiderivative_exact(h), dtype=float)
     return TraceData(
         s_nodes=s,
-        quad_weights=np.full(m, ds),
+        quad_weights=weights,
         h_values=h,
         y_values=y,
         delta=0.0,
@@ -215,17 +226,20 @@ def mapping_weight(curve: CurveParametrization, u: float) -> float:
     return 1.0 / slope
 
 
-def operator_norm_ratio(
-    spline: ParameterSpline, curve: CurveParametrization, m: int
-) -> float:
+def operator_norm_ratio(spline, curve: CurveParametrization, m: int):
     """Ratio ||T A|| / ||A||_{L2(I)} with exact data at m midpoint nodes.
 
     The numerator uses the m-point quadrature norm on the curve, the
     denominator the exact (per-element Gauss) L2 norm of the piecewise
-    quadratic antiderivative.
+    quadratic antiderivative.  `spline` is one ParameterSpline, giving a
+    float, or a sequence of them on one grid, giving an array of ratios in
+    sequence order; h is evaluated once for all of them.
     """
     a_norm = antiderivative_l2_norm(spline)
-    if a_norm == 0.0:
+    if np.any(a_norm == 0.0):
         raise ValueError("operator norm ratio undefined for the zero spline")
-    data = make_exact_data(curve, spline.antiderivative, m)
-    return quadrature_norm(data.y_values, data.quad_weights) / a_norm
+    s, weights = _midpoint_rule(curve, m)
+    interval, a = _node_stack(spline)
+    values = _antiderivative(interval, a, np.asarray(curve.h(s), dtype=float))
+    ratio = quadrature_norm(values, weights) / a_norm
+    return float(ratio[0]) if isinstance(spline, ParameterSpline) else ratio

@@ -37,9 +37,11 @@ class DiscreteScaleOperator:
     """Discrete scale operator on a uniform grid of N+1 points.
 
     Vectors passed to the methods live on the full grid (length N+1) and
-    must vanish at the first node (the essential constraint).  The stored
-    arrays act on the constrained unknowns at nodes 1..N; eigenvector
-    columns are padded back to the full grid.
+    must vanish at the first node (the essential constraint); `scale_norm`,
+    `x_norm` and `interpolation_margin` also take a stack of them, one per
+    row, and evaluate it in one pass.  The stored arrays act on the
+    constrained unknowns at nodes 1..N; eigenvector columns are padded back
+    to the full grid.
     """
 
     interval: StateInterval
@@ -61,35 +63,46 @@ class DiscreteScaleOperator:
         return self.grid.size
 
     def _coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients c_k = v_k^T M u of a full-grid vector."""
+        """Eigen-coefficients c_k = v_k^T M u of full-grid vectors, one row each.
+
+        u is one vector (N+1,) or a stack (S, N+1); the stack takes one
+        matrix product.
+        """
         u = np.asarray(u, dtype=float)
-        if u.shape != self.grid.shape:
+        if u.ndim not in (1, 2) or u.shape[-1] != self.grid.size:
             raise ValueError(
-                f"expected a full-grid vector of length {self.grid.size}, got {u.shape}"
+                f"expected full-grid vectors of length {self.grid.size}, got {u.shape}"
             )
-        if u[0] != 0.0:
+        if np.any(u[..., 0] != 0.0):
             raise ValueError(
                 "vector must satisfy the essential condition u(u_min) = 0"
             )
-        return self.eigenvectors[1:].T @ (self.mass * u[1:])
+        return (self.mass * u[..., 1:]) @ self.eigenvectors[1:]
+
+    def _norm(self, c: np.ndarray, s) -> np.ndarray:
+        """Scale norm of index s from the coefficients c, with s per row of c."""
+        s = np.asarray(s, dtype=float)
+        exponent = ((s[..., None] if s.ndim else float(s)) + 1.0) / 2.0
+        return np.sqrt(np.sum(self.eigenvalues**exponent * c**2, axis=-1))
 
     def stiffness_energy(self, u: np.ndarray) -> float:
         """Quadratic form u^T K u evaluated as ||F u||^2, hence >= 0 exactly."""
         u = np.asarray(u, dtype=float)
         return float(np.sum((self.stiffness_factor @ u[1:]) ** 2))
 
-    def scale_norm(self, u: np.ndarray, s: float) -> float:
+    def scale_norm(self, u: np.ndarray, s):
         """Shifted-scale norm of index s: sqrt(sum_k lambda_k^((s+1)/2) c_k^2).
 
         s = -1 recovers the discrete L2 norm, s = 1 the discrete version of
-        (||u''||^2 + ||u||^2)^(1/2).
+        (||u''||^2 + ||u||^2)^(1/2).  A float for one vector u; for a stack
+        of vectors, an array of norms with s one value or one per row.
         """
-        c = self._coefficients(u)
-        return float(np.sqrt(np.sum(self.eigenvalues ** ((s + 1.0) / 2.0) * c**2)))
+        norm = self._norm(self._coefficients(u), s)
+        return float(norm) if norm.ndim == 0 else norm
 
-    def x_norm(self, u: np.ndarray, s: float) -> float:
+    def x_norm(self, u: np.ndarray, s):
         """Unshifted scale norm ||L^s u||, i.e. scale_norm at index s - 1."""
-        return self.scale_norm(u, s - 1.0)
+        return self.scale_norm(u, np.asarray(s) - 1.0)
 
     def apply_power(self, u: np.ndarray, t: float) -> np.ndarray:
         """Apply the fractional power L^t (eigenvalues lambda_k^(t/4))."""
@@ -98,22 +111,31 @@ class DiscreteScaleOperator:
         out[1:] = self.eigenvectors[1:] @ (self.eigenvalues ** (t / 4.0) * c)
         return out
 
-    def interpolation_margin(self, u: np.ndarray, r: float, s: float, t: float) -> float:
+    def interpolation_margin(self, u: np.ndarray, r, s, t):
         """RHS - LHS of the interpolation inequality between scale levels.
 
         ||L^s u|| <= ||L^r u||^((t-s)/(t-r)) * ||L^t u||^((s-r)/(t-r))
         for r <= s <= t, r < t.  The returned margin is nonnegative up to
-        rounding (contract: margin >= -1e-10 * RHS).
+        rounding (contract: margin >= -1e-10 * RHS).  A float for one
+        vector u; for a stack of vectors, an array of margins with each
+        level one value or one per row, every row checked.
         """
-        if not (r <= s <= t) or not r < t:
-            raise ValueError(f"need r <= s <= t with r < t, got r={r}, s={s}, t={t}")
-        if not np.any(np.asarray(u)[1:]):
+        r, s, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r, s, t)))
+        bad = ~((r <= s) & (s <= t) & (r < t))
+        if np.any(bad):
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise ValueError(
+                f"need r <= s <= t with r < t, got r={r[i]}, s={s[i]}, t={t[i]}"
+            )
+        if not np.all(np.any(np.asarray(u)[..., 1:], axis=-1)):
             raise ValueError("interpolation margin undefined for the zero vector")
-        lhs = self.x_norm(u, s)
-        rhs = self.x_norm(u, r) ** ((t - s) / (t - r)) * self.x_norm(u, t) ** (
+        c = self._coefficients(u)
+        lhs = self._norm(c, s - 1.0)
+        rhs = self._norm(c, r - 1.0) ** ((t - s) / (t - r)) * self._norm(c, t - 1.0) ** (
             (s - r) / (t - r)
         )
-        return float(rhs - lhs)
+        margin = rhs - lhs
+        return float(margin) if margin.ndim == 0 else margin
 
 
 def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScaleOperator:

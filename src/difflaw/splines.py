@@ -6,8 +6,10 @@ antiderivative A(u) = int_{u_min}^u a(w) dw is piecewise quadratic and is
 computed in closed form, so that A is exactly linear in the nodal values.
 All norms (L2, H1, and the L2 norm of A) are evaluated with element-wise
 exact quadrature.  `_locate` and `_element_gauss_rule` are shared with the
-Tikhonov assembly, which writes A in the quadratic B-spline basis; `_norms`
-with the study, which measures a stack of errors in one pass.
+Tikhonov assembly, which writes A in the quadratic B-spline basis.  `_norms`
+and `_antiderivative` take nodal values stacked along leading axes, so the
+study measures its errors, and the property checks evaluate their random
+splines, in one pass; one spline is the one-row case.
 """
 
 from __future__ import annotations
@@ -174,14 +176,7 @@ class ParameterSpline:
 
         A(u_min) = 0; A is strictly increasing whenever all nodes are > 0.
         """
-        k, t = _locate(self.interval, self.n_elements, u)
-        a = self.node_values
-        dx = self.spacing
-        # cumulative integrals over full elements
-        element_integrals = 0.5 * dx * (a[:-1] + a[1:])
-        cum = np.concatenate(([0.0], np.cumsum(element_integrals)))
-        partial = dx * (a[k] * (t - 0.5 * t * t) + a[k + 1] * (0.5 * t * t))
-        out = cum[k] + partial
+        out = _antiderivative(self.interval, self.node_values, u)
         return out if np.ndim(u) else float(out[0])
 
     def l2_norm(self) -> float:
@@ -207,12 +202,58 @@ class ParameterSpline:
         return ParameterSpline(self.interval, self.node_values - other.node_values)
 
 
-def antiderivative_l2_norm(spline: ParameterSpline) -> float:
+def _antiderivative(interval: StateInterval, a: np.ndarray, u) -> np.ndarray:
+    """A(u) for nodal values `a` stacked along leading axes, (..., n+1).
+
+    The points u are located once for the whole stack; the result has shape
+    a.shape[:-1] + u.shape (u at least 1-d).  Each row computes what it
+    would alone, bit for bit.
+    """
+    n = a.shape[-1] - 1
+    k, t = _locate(interval, n, u)
+    dx = interval.length / n
+    # cumulative integrals over full elements
+    cum = np.zeros(a.shape)
+    np.cumsum(0.5 * dx * (a[..., :-1] + a[..., 1:]), axis=-1, out=cum[..., 1:])
+    # dx (a_k (t - t^2/2) + a_{k+1} t^2/2) + cum_k, in place on stack-sized
+    # arrays; np.take keeps them C-ordered, so a row sum runs as it would alone
+    half_t_sq = 0.5 * t * t
+    out = np.take(a, k, axis=-1)
+    out *= t - half_t_sq
+    right = np.take(a, k + 1, axis=-1)
+    right *= half_t_sq
+    out += right
+    out *= dx
+    out += np.take(cum, k, axis=-1, out=right)
+    return out
+
+
+def _node_stack(spline) -> tuple[StateInterval, np.ndarray]:
+    """Interval and (S, n+1) nodal values of one spline or a sequence on one grid."""
+    members = (spline,) if isinstance(spline, ParameterSpline) else tuple(spline)
+    if not members or not all(isinstance(member, ParameterSpline) for member in members):
+        raise ValueError("need a ParameterSpline or a non-empty sequence of them")
+    head = members[0]
+    for member in members[1:]:
+        if member.interval != head.interval or member.n_elements != head.n_elements:
+            raise GridMismatchError(
+                f"stacked splines must share one grid: {head.interval} "
+                f"({head.n_elements} elements) vs {member.interval} "
+                f"({member.n_elements} elements)"
+            )
+    return head.interval, np.stack([member.node_values for member in members])
+
+
+def antiderivative_l2_norm(spline):
     """Exact L2(I) norm of the antiderivative A of `spline`.
 
-    A is quadratic per element, A^2 quartic, so 3-point Gauss per element
+    `spline` is one ParameterSpline, giving a float, or a sequence of them
+    on one grid, giving an array of norms in sequence order.  A is
+    quadratic per element, A^2 quartic, so 3-point Gauss per element
     integrates it exactly.
     """
-    points, weights = _element_gauss_rule(spline.interval, spline.n_elements)
-    values = spline.antiderivative(points)
-    return float(np.sqrt(np.sum(weights * values**2)))
+    interval, a = _node_stack(spline)
+    points, weights = _element_gauss_rule(interval, a.shape[-1] - 1)
+    values = _antiderivative(interval, a, points)
+    norms = np.sqrt(np.sum(weights * values**2, axis=-1))
+    return float(norms[0]) if isinstance(spline, ParameterSpline) else norms

@@ -47,6 +47,9 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "delta,alpha,trial,seed,err0,err1,residual"
 
+# the record columns that are summarized by their median over the trials
+COLUMNS = ("err0", "err1", "residual")
+
 # noise levels at and below this are treated as discretization-limited and
 # excluded from rate fits unless explicitly re-included
 INVERSE_CRIME_DELTA = 1e-6
@@ -211,15 +214,19 @@ def median_by_delta(records, column: str) -> dict:
     return {d: float(np.median(v)) for d, v in _by_delta(records, column).items()}
 
 
-def fit_rate(records, column: str, include_inverse_crime: bool = False) -> float:
+def fit_rate(
+    records, column: str, include_inverse_crime: bool = False, *, medians=None
+) -> float:
     """Least-squares slope of log10(trial median of `column`) vs log10(delta).
 
     Noise levels at or below the inverse-crime floor are excluded unless
     `include_inverse_crime` is set.  Requires at least 3 usable levels.
+    `medians`, the {column: median_by_delta(records, column)} a caller
+    already holds, is used instead of taking the medians again.
     """
-    if column not in ("err0", "err1", "residual"):
+    if column not in COLUMNS:
         raise ValueError(f"column must be err0, err1 or residual, got {column!r}")
-    med = median_by_delta(records, column)
+    med = median_by_delta(records, column) if medians is None else medians[column]
     if not include_inverse_crime:
         med = {d: v for d, v in med.items() if d > INVERSE_CRIME_DELTA}
     if len(med) < 3:
@@ -266,14 +273,17 @@ def read_records_csv(path) -> list[ConvergenceRecord]:
     return records
 
 
-def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path]:
+def emit_plot_data(
+    records, path_stem, reference_rates=None, *, medians=None
+) -> tuple[Path, Path]:
     """Write log-log plot series to `<stem>.series.csv` and `<stem>.refs.csv`.
 
     The series file holds per-delta medians with min/max bands for err0,
     err1, and residual.  The refs file holds straight reference-slope lines
     anchored so that each passes through the series median at the largest
     noise level; `reference_rates` defaults to the quadratic rule's slopes.
-    Both are plain CSV, consumable by any plotting tool.
+    `medians` is as in `fit_rate`.  Both files are plain CSV, consumable by
+    any plotting tool.
     """
     if not records:
         raise ValueError("no records to write")
@@ -284,9 +294,9 @@ def emit_plot_data(records, path_stem, reference_rates=None) -> tuple[Path, Path
 
     series_lines = ["series,delta,median,min,max"]
     anchors = {}  # the median at the largest delta, per column
-    for column in ("err0", "err1", "residual"):
+    for column in COLUMNS:
         for d, values in _by_delta(records, column).items():
-            median = float(np.median(values))
+            median = float(np.median(values)) if medians is None else medians[column][d]
             anchors.setdefault(column, median)
             series_lines.append(
                 f"{column},{d!r},{median!r},{min(values)!r},{max(values)!r}"

@@ -85,7 +85,7 @@ def test_criterion_4_operator_mapping_band():
         criterion,
         True,
         f"100 random splines, ratio in [{band['lo']:.4f}, {band['hi']:.4f}] "
-        "(band [0.98, 1.214])",
+        f"(band [{band['band'][0]:.3f}, {band['band'][1]:.3f}])",
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from difflaw import (
     ANTIDERIVATIVE_OFFSET,
     DomainError,
+    GridMismatchError,
     ParameterSpline,
     add_noise,
     apply_t,
@@ -17,6 +18,7 @@ from difflaw import (
     reference_curve,
     reference_interval,
     residual_norm,
+    splines,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -184,6 +186,48 @@ def test_mapping_weight_outside_range():
 
 def test_operator_norm_ratio_band():
     checks.check_mapping_band(n_splines=100, seed=5)
+
+
+@pytest.mark.parametrize(
+    "check, size",
+    [
+        (checks.check_mapping_band, "n_splines"),
+        (checks.check_perturbation_stability, "n_functions"),
+    ],
+)
+def test_stacked_checks_locate_each_point_set_once(monkeypatch, check, size):
+    # a check evaluates its samples as one stack: the points are located
+    # as often for 50 samples as for 5
+    located = []
+    locate = splines._locate
+
+    def counting_locate(*args):
+        located.append(args[-1])
+        return locate(*args)
+
+    monkeypatch.setattr(splines, "_locate", counting_locate)
+    counts = []
+    for samples in (5, 50):
+        located.clear()
+        check(**{size: samples})
+        counts.append(len(located))
+    assert counts[0] == counts[1] > 0
+
+
+def test_operator_norm_ratio_stack():
+    curve = reference_curve()
+    interval = reference_interval()
+    rng = np.random.default_rng(7)
+    stack = [ParameterSpline(interval, rng.normal(size=41)) for _ in range(3)]
+    ratios = operator_norm_ratio(stack, curve, 200)
+    assert ratios.shape == (3,)
+    assert ratios[1] == operator_norm_ratio(stack[1], curve, 200)
+    with pytest.raises(ValueError):
+        operator_norm_ratio([stack[0], ParameterSpline(interval, np.zeros(41))], curve, 200)
+    with pytest.raises(GridMismatchError):
+        operator_norm_ratio([stack[0], ParameterSpline(interval, np.ones(21))], curve, 200)
+    with pytest.raises(ValueError):
+        operator_norm_ratio([], curve, 200)
 
 
 def test_operator_norm_ratio_localized():

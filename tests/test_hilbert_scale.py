@@ -143,3 +143,23 @@ def test_vectors_must_satisfy_essential_condition(op400):
         op400.scale_norm(u, 0.0)
     with pytest.raises(ValueError):
         op400.scale_norm(np.ones(3), 0.0)
+
+
+def test_stacked_rows_are_each_checked(op400):
+    rng = np.random.default_rng(6)
+    u = np.stack([_random_constrained(op400, rng) for _ in range(3)])
+    levels = np.array([0.0, 0.5, 1.0])
+    assert op400.interpolation_margin(u, levels, levels + 0.5, levels + 1.0).shape == (3,)
+    assert op400.scale_norm(u, 1.0).shape == (3,)
+    with pytest.raises(ValueError):  # r <= s <= t fails in the last row only
+        op400.interpolation_margin(u, levels, [0.5, 1.0, 0.5], levels + 1.0)
+    with pytest.raises(ValueError):  # r < t fails in the first row only
+        op400.interpolation_margin(u, levels, levels, [0.0, 1.0, 2.0])
+    zero_row = u.copy()
+    zero_row[1] = 0.0
+    with pytest.raises(ValueError):
+        op400.interpolation_margin(zero_row, 0.0, 1.0, 2.0)
+    unconstrained = u.copy()
+    unconstrained[2, 0] = 1.0
+    with pytest.raises(ValueError):
+        op400.scale_norm(unconstrained, 0.0)

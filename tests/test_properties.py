@@ -7,17 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from difflaw import (
+    CurveParametrization,
     NoiseLevelTooSmallError,
     ParameterSpline,
     StateInterval,
     add_noise,
     alpha_discrepancy,
     antiderivative_l2_norm,
+    build_scale_operator,
     build_tikhonov_problem,
+    operator_norm_ratio,
     reference_exact_data,
     solve_tikhonov,
     tikhonov_objective,
 )
+from difflaw.splines import _antiderivative
 from difflaw.tikhonov import ALPHA_MIN, DISCREPANCY_TOL
 
 intervals = st.builds(
@@ -84,3 +88,69 @@ def test_discrepancy_lands_in_window(n, m_factor, log_delta, tau, seed):
         assert tau * delta <= result.residual <= window
     again = solve_tikhonov(problem, result.alpha).residual
     assert abs(again - result.residual) <= 1e-12 * result.residual
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    interval=intervals,
+    n=st.integers(1, 400),
+    size=st.integers(1, 8),
+    m=st.integers(2, 300),
+    seed=seeds,
+)
+def test_stacked_splines_match_one_spline(interval, n, size, m, seed):
+    # a stack of splines evaluates as its members do one by one: A-values
+    # bit for bit at points that include both interval ends, the norms and
+    # ratios (row sums) within a few ulps
+    rng = np.random.default_rng(seed)
+    nodes = rng.normal(size=(size, n + 1))
+    splines = [ParameterSpline(interval, a) for a in nodes]
+    u = np.concatenate(
+        ([interval.u_min, interval.u_max], rng.uniform(interval.u_min, interval.u_max, 30))
+    )
+    stacked = _antiderivative(interval, nodes, u)
+    assert stacked.shape == (size, u.size)
+    for row, spline in zip(stacked, splines):
+        assert np.array_equal(row, spline.antiderivative(u))
+    np.testing.assert_allclose(
+        antiderivative_l2_norm(splines),
+        [antiderivative_l2_norm(spline) for spline in splines],
+        rtol=1e-14,
+        atol=0,
+    )
+    # a straight curve through the interval, so h' is its length
+    curve = CurveParametrization(
+        s_lo=0.0,
+        s_hi=1.0,
+        h=lambda s: interval.u_min + interval.length * s,
+        h_prime=lambda s: np.full_like(s, interval.length),
+        interval=interval,
+    )
+    np.testing.assert_allclose(
+        operator_norm_ratio(splines, curve, m),
+        [operator_norm_ratio(spline, curve, m) for spline in splines],
+        rtol=1e-14,
+        atol=0,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(interval=intervals, n=st.integers(4, 80), size=st.integers(1, 8), seed=seeds)
+def test_stacked_scale_norms_match_one_vector(interval, n, size, seed):
+    # levels given per row; the margin is a difference that cancels, so it
+    # is compared against the norms it is taken from
+    op = build_scale_operator(interval, n)
+    rng = np.random.default_rng(seed)
+    u = np.zeros((size, n + 1))
+    u[:, 1:] = rng.normal(size=(size, n))
+    r = rng.uniform(-2.0, 1.0, size)
+    t = r + rng.uniform(1e-3, 2.0, size)
+    s = rng.uniform(r, t)
+    norms = op.scale_norm(u, s)
+    margins = op.interpolation_margin(u, r, s, t)
+    for i in range(size):
+        single = op.scale_norm(u[i], s[i])
+        assert abs(norms[i] - single) <= 1e-13 * single
+        lhs = op.x_norm(u[i], s[i])
+        margin = op.interpolation_margin(u[i], r[i], s[i], t[i])
+        assert abs(margins[i] - margin) <= 1e-13 * (lhs + margin)
