@@ -14,10 +14,22 @@ eigen-coefficients, and the shifted-scale norm of index s weights them by
 lambda^((s+1)/2).
 
 The eigenpairs are computed from the singular value decomposition of the
-scaled difference factor F M^{-1/2} (with K = F^T F), giving
+scaled difference factor S = F M^{-1/2} (with K = F^T F), giving
 lambda = 1 + sigma^2.  A generalized symmetric eigensolver would lose
 absolute accuracy of order ||K|| * eps ~ 1e-5 on the smallest eigenvalues;
-the SVD route keeps lambda >= 1 exactly in floating point.
+the SVD route keeps lambda >= 1 exactly in floating point, since 1 plus a
+square is never below 1.
+
+S is (N-1) x N with three nonzeros per row, so S^T is a band with one sub-
+and one superdiagonal.  LAPACK dgbbrd reduces that band to bidiagonal form
+by plane rotations that chase the fill-in down the band, never forming a
+dense S, and accumulates them into an orthogonal Q; dbdsdc (Gu &
+Eisenstat's divide and conquer for the bidiagonal SVD) then finds the
+singular values and vectors of the (N-1) x (N-1) bidiagonal.  Both steps are
+orthogonal transforms, like a dense SVD, so the accuracy stays in the same
+class at less cost.  The last column of Q spans the null space of S (the
+linear functions), so its sigma is 0 and lambda_min is exactly 1.  Both
+routines come from numpy's bundled OpenBLAS (see `_lapack`).
 """
 
 from __future__ import annotations
@@ -26,10 +38,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import DOUBLES, INT, bind, dptr, iptr, int64
 from .exceptions import NumericalError
 from .splines import StateInterval
 
 __all__ = ["DiscreteScaleOperator", "build_scale_operator"]
+
+# (vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc, work, info)
+_dgbbrd = bind(
+    "dgbbrd", INT, INT, INT, INT, INT, DOUBLES, INT, DOUBLES, DOUBLES, DOUBLES, INT,
+    DOUBLES, INT, DOUBLES, INT, DOUBLES, INT,
+)
+# (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
+_dbdsdc = bind(
+    "dbdsdc", INT, DOUBLES, DOUBLES, DOUBLES, INT, DOUBLES, INT, DOUBLES, INT, DOUBLES,
+    INT, INT, chars=2,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,33 +175,25 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
     dx = interval.length / n
 
     # interior second differences on the constrained unknowns u_1..u_N
-    # (u_0 = 0 is eliminated; its column is dropped)
-    d2 = np.zeros((n - 1, n))
-    for i in range(1, n):
-        if i >= 2:
-            d2[i - 1, i - 2] = 1.0 / dx**2
-        d2[i - 1, i - 1] = -2.0 / dx**2
-        d2[i - 1, i] = 1.0 / dx**2
-    quad_w = np.full(n - 1, dx)
-    factor = np.sqrt(quad_w)[:, None] * d2
+    # (u_0 = 0 is eliminated; its column is dropped), weighted by the
+    # square root of the quadrature weight dx
+    rows = np.arange(n - 1)
+    factor = np.zeros((n - 1, n))
+    factor[rows[1:], rows[1:] - 1] = np.sqrt(dx) * (1.0 / dx**2)
+    factor[rows, rows] = np.sqrt(dx) * (-2.0 / dx**2)
+    factor[rows, rows + 1] = np.sqrt(dx) * (1.0 / dx**2)
 
     # trapezoid-lumped mass on u_1..u_N (u_0 excluded)
     mass_diag = np.full(n, dx)
     mass_diag[-1] = dx / 2.0
 
-    # eigenpairs of (K + M) v = lambda M v via SVD of F M^{-1/2}:
+    # eigenpairs of (K + M) v = lambda M v via the SVD of S = F M^{-1/2}:
     # lambda = 1 + sigma^2 >= 1 exactly, v = M^{-1/2} q is M-orthonormal.
-    scaled = factor / np.sqrt(mass_diag)[None, :]
-    try:
-        _, singular, vt = np.linalg.svd(scaled, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the scale factor failed: {exc}") from exc
-    sigma_sq = np.zeros(n)
-    sigma_sq[: singular.size] = singular**2
-    eigenvalues = 1.0 + sigma_sq
+    sigma, q = _right_singular_pairs(factor, np.sqrt(mass_diag))
+    eigenvalues = 1.0 + sigma**2
     order = np.argsort(eigenvalues)
     eigenvalues = eigenvalues[order]
-    vectors = (vt.T / np.sqrt(mass_diag)[:, None])[:, order]
+    vectors = (q / np.sqrt(mass_diag)[:, None])[:, order]
     eigenvectors = np.vstack([np.zeros(n), vectors])
 
     op = DiscreteScaleOperator(
@@ -190,6 +206,57 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
     )
     _validate(op)
     return op
+
+
+def _right_singular_pairs(factor: np.ndarray, mass_root: np.ndarray):
+    """N singular values and right singular vectors of S = F diag(1 / mass_root).
+
+    S is (N-1, N) with three nonzeros per row, so S^T is an N x (N-1) band
+    with one sub- and one superdiagonal.  dgbbrd reduces it to S^T = Q B P^T
+    with B upper bidiagonal, and dbdsdc finds B = U_B Sigma V_B^T.  The right
+    singular vectors of S are then Q[:, :N-1] U_B, for the N-1 values in
+    descending order, and last Q[:, N-1], which spans the null space of S
+    and gets the value 0.
+    """
+    rows, n = factor.shape
+    j = np.arange(rows)
+    # S^T in LAPACK's general band layout: column j of S^T is row j of S,
+    # stored as (super, diagonal, sub) = (S[j, j-1], S[j, j], S[j, j+1]);
+    # C order makes the (N-1, 3) array LAPACK's Fortran (3, N-1) band
+    band = np.zeros((rows, 3))
+    band[1:, 0] = factor[j[1:], j[1:] - 1] / mass_root[:-2]
+    band[:, 1] = factor[j, j] / mass_root[:-1]
+    band[:, 2] = factor[j, j + 1] / mass_root[1:]
+    d, e = np.empty(rows), np.empty(rows)
+    q = np.empty((n, n))  # Fortran Q, so its C-order rows are the columns of Q
+    # placeholders for the arrays neither routine references here
+    unused, unused_int = np.zeros(1), np.zeros(1, dtype=np.int64)
+    work = np.empty(2 * n)
+    status = int64()
+    _dgbbrd(
+        b"Q", int64(n), int64(rows), int64(0), int64(1), int64(1), dptr(band), int64(3),
+        dptr(d), dptr(e), dptr(q), int64(n), dptr(unused), int64(1),
+        dptr(unused), int64(1), dptr(work), status, 1,
+    )
+    if status.value != 0:
+        raise NumericalError(
+            f"band bidiagonalization (LAPACK dgbbrd) failed: info {status.value}"
+        )
+    u_b, vt_b = np.empty((rows, rows)), np.empty((rows, rows))
+    work = np.empty(3 * rows**2 + 4 * rows)
+    iwork = np.empty(8 * rows, dtype=np.int64)
+    _dbdsdc(
+        b"U", b"I", int64(rows), dptr(d), dptr(e), dptr(u_b), int64(rows),
+        dptr(vt_b), int64(rows), dptr(unused), iptr(unused_int),
+        dptr(work), iptr(iwork), status, 1, 1,
+    )
+    if status.value != 0:
+        raise NumericalError(f"bidiagonal SVD (LAPACK dbdsdc) failed: info {status.value}")
+    # u_b holds U_B in Fortran order, i.e. U_B^T in C order
+    vectors = np.empty((n, n))
+    vectors[:, :rows] = q[:rows].T @ u_b.T
+    vectors[:, rows] = q[rows]
+    return np.append(d, 0.0), vectors
 
 
 def _validate(op: DiscreteScaleOperator) -> None:

@@ -50,14 +50,13 @@ instability baseline.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
+from ._lapack import DOUBLES, INT, bind, dptr, int64
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, quadrature_norm
 from .splines import ParameterSpline, StateInterval, _element_gauss_rule, _locate
@@ -89,37 +88,9 @@ MAX_NEWTON_STEPS = int(
 )
 
 
-# arguments are passed by reference: integers as ctypes.c_int64 values, arrays
-# as `_first` of their (contiguous, writable) memory
-_INT = ctypes.POINTER(ctypes.c_int64)
-_int = ctypes.c_int64
-_DOUBLES = ctypes.POINTER(ctypes.c_double)
-_first = ctypes.c_double.from_buffer
-
-
-def _lapack(name: str, *argtypes):
-    """LAPACK routine `name` from numpy's bundled OpenBLAS (scipy-openblas64).
-
-    numpy's linalg extension links that OpenBLAS, so its handle resolves the
-    library's symbols.  The trailing size_t is the Fortran length of the
-    one-character `uplo` argument.
-    """
-    try:
-        routine = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}_64_")
-    except AttributeError:
-        raise ImportError(
-            f"difflaw needs LAPACK {name} from the OpenBLAS that numpy's wheels "
-            f"bundle (scipy-openblas64, numpy>=2.4 from PyPI); numpy {np.__version__} "
-            f"at {np.__file__} does not export scipy_{name}_64_"
-        ) from None
-    routine.argtypes = (ctypes.c_char_p, *argtypes, ctypes.c_size_t)
-    routine.restype = None
-    return routine
-
-
 # (uplo, n, kd, ab, ldab, info) and (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
-_dpbtrf = _lapack("dpbtrf", _INT, _INT, _DOUBLES, _INT, _INT)
-_dpbtrs = _lapack("dpbtrs", _INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT)
+_dpbtrf = bind("dpbtrf", INT, INT, DOUBLES, INT, INT)
+_dpbtrs = bind("dpbtrs", INT, INT, INT, DOUBLES, INT, DOUBLES, INT, INT)
 
 
 def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +159,7 @@ def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
-    return dx * (np.cumsum(a) - a[0] / 2)
+    return dx * (np.cumsum(a, axis=-1) - a[..., :1] / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,8 +298,8 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
     # factored in place; C order makes it LAPACK's Fortran-ordered band
     factor = np.multiply.outer(alphas, problem.penalty_band.T, order="C")
     factor += problem.normal_band[members].transpose(0, 2, 1)
-    status = _int()
-    _dpbtrf(b"U", _int(factor.size // 3), _int(2), _first(factor), _int(3), status, 1)
+    status = int64()
+    _dpbtrf(b"U", int64(factor.size // 3), int64(2), dptr(factor), int64(3), status, 1)
     info = status.value
     # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
     # overflowed shows only as a non-finite diagonal of the factor
@@ -349,8 +320,8 @@ def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if 3 * x.size != factor.size:
         raise ValueError(f"right-hand sides {x.shape} do not fit the factor {factor.shape}")
     # the status is not read: dpbtrs fails only on an illegal argument
-    size = _int(x.size)
-    _dpbtrs(b"U", size, _int(2), _int(1), _first(factor), _int(3), _first(x), size, _int(), 1)
+    n = int64(x.size)
+    _dpbtrs(b"U", n, int64(2), int64(1), dptr(factor), int64(3), dptr(x), n, int64(), 1)
     return x
 
 
@@ -401,22 +372,28 @@ def solve_tikhonov(problem: TikhonovProblem, alpha):
     return _results(problem, alphas, d, residuals)
 
 
-def tikhonov_objective(
-    problem: TikhonovProblem, node_values: np.ndarray, alpha: float
-) -> float:
+def tikhonov_objective(problem: TikhonovProblem, node_values: np.ndarray, alpha: float):
     """Value of the Tikhonov functional at the given nodal values.
 
-    Defined for a problem built from one TraceData; raises ValueError for a
-    stack.
+    node_values is one vector (n+1,), giving a float, or a stack (k, n+1),
+    giving an array of k values.  Defined for a problem built from one
+    TraceData; raises ValueError for a stack of data sets.
     """
     if not isinstance(problem.data, TraceData):
         raise ValueError("tikhonov_objective takes a problem built from one data set")
-    d = _coefficients(np.asarray(node_values, dtype=float), problem.spacing)
-    misfit = _apply(problem.t_rows, d[None])[0] - problem.y_values[0]
-    return float(
-        np.sum(problem.quad_weights * misfit**2)
-        + alpha * (d @ _band_apply(problem.penalty_band, d))
+    node_values = np.asarray(node_values, dtype=float)
+    d = np.atleast_2d(_coefficients(node_values, problem.spacing))
+    # the one member's rows, shared by every vector of the stack
+    first, weights = problem.t_rows
+    rows = (
+        np.broadcast_to(first, (len(d), first.shape[-1])),
+        np.broadcast_to(weights, (len(d), *weights.shape[1:])),
     )
+    misfit = _apply(rows, d) - problem.y_values
+    value = np.sum(problem.quad_weights * misfit**2, axis=-1) + alpha * np.vecdot(
+        d, _band_apply(problem.penalty_band, d)
+    )
+    return float(value[0]) if node_values.ndim == 1 else value
 
 
 def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) -> float:

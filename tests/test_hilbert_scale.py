@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from difflaw import build_scale_operator, checks, reference_interval
+from difflaw import (
+    NumericalError,
+    build_scale_operator,
+    checks,
+    hilbert_scale,
+    reference_interval,
+)
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +43,26 @@ def test_construction_invariants(op400):
 def test_rejects_tiny_grid():
     with pytest.raises(ValueError):
         build_scale_operator(reference_interval(), 3)
+
+
+def test_build_takes_no_dense_svd(monkeypatch):
+    def dense_svd(*args, **kwargs):
+        raise AssertionError("build_scale_operator called np.linalg.svd")
+
+    monkeypatch.setattr(np.linalg, "svd", dense_svd)
+    op = build_scale_operator(reference_interval(), 50)
+    assert op.eigenvalues[0] == 1.0
+
+
+@pytest.mark.parametrize("routine, lengths", [("dgbbrd", 1), ("dbdsdc", 2)])
+def test_lapack_failure_names_the_routine(monkeypatch, routine, lengths):
+    # the status argument sits just before the trailing character lengths
+    def failing(*args):
+        args[-1 - lengths].value = 3
+
+    monkeypatch.setattr(hilbert_scale, f"_{routine}", failing)
+    with pytest.raises(NumericalError, match=rf"LAPACK {routine}\) failed: info 3"):
+        build_scale_operator(reference_interval(), 10)
 
 
 def test_linear_function_rayleigh_quotient(op400):

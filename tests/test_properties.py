@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difflaw import (
@@ -18,6 +18,7 @@ from difflaw import (
     build_tikhonov_problem,
     operator_norm_ratio,
     reference_exact_data,
+    reference_interval,
     solve_tikhonov,
     tikhonov_objective,
 )
@@ -58,6 +59,31 @@ def test_objective_matches_spline_forms(interval, n, seed):
     expected = np.sum(data.quad_weights * misfit**2) + alpha * penalty
     problem = build_tikhonov_problem(data, n)
     assert abs(tikhonov_objective(problem, a, alpha) - expected) <= 1e-10 * expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(interval=intervals, n=st.integers(1, 200), size=st.integers(1, 8), seed=seeds)
+def test_stacked_objective_matches_one_vector(interval, n, size, seed):
+    rng = np.random.default_rng(seed)
+    h = np.concatenate(
+        ([interval.u_min, interval.u_max], rng.uniform(interval.u_min, interval.u_max, 50))
+    )
+    data = replace(
+        TEMPLATE,
+        interval=interval,
+        h_values=h,
+        y_values=rng.normal(size=h.size),
+        quad_weights=rng.uniform(0.1, 2.0, h.size),
+    )
+    problem = build_tikhonov_problem(data, n)
+    nodes = rng.normal(size=(size, n + 1))
+    alpha = 10.0 ** rng.uniform(-8, 2)
+    stacked = tikhonov_objective(problem, nodes, alpha)
+    assert stacked.shape == (size,)
+    for value, a in zip(stacked, nodes):
+        single = tikhonov_objective(problem, a, alpha)
+        assert isinstance(single, float)
+        assert abs(value - single) <= 1e-14 * single
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -154,3 +180,28 @@ def test_stacked_scale_norms_match_one_vector(interval, n, size, seed):
         lhs = op.x_norm(u[i], s[i])
         margin = op.interpolation_margin(u[i], r[i], s[i], t[i])
         assert abs(margins[i] - margin) <= 1e-13 * (lhs + margin)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(interval=intervals, n=st.integers(4, 80))
+@example(interval=reference_interval(), n=4)
+@example(interval=reference_interval(), n=5)
+@example(interval=reference_interval(), n=37)
+@example(interval=reference_interval(), n=200)
+@example(interval=reference_interval(), n=400)
+def test_scale_operator_matches_dense_svd(interval, n):
+    # the band path against the eigenpairs of the dense SVD of F M^{-1/2};
+    # the eigenvalues are simple, so each eigenvector is fixed up to sign
+    op = build_scale_operator(interval, n)
+    root = np.sqrt(op.mass)
+    _, sigma, vt = np.linalg.svd(op.stiffness_factor / root, full_matrices=True)
+    lam = 1.0 + np.append(sigma**2, 0.0)
+    order = np.argsort(lam)
+    oracle = (vt.T / root[:, None])[:, order]
+    assert op.eigenvalues[0] == 1.0
+    assert np.max(np.abs(op.eigenvalues - lam[order]) / lam[order]) <= 1e-10
+    v = op.eigenvectors[1:]
+    cosines = np.abs(np.sum(op.mass[:, None] * v * oracle, axis=0))
+    assert np.min(cosines) >= 1.0 - 1e-10
+    gram = v.T @ (op.mass[:, None] * v)
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-10

@@ -25,7 +25,8 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
-from difflaw.tikhonov import ALPHA_MIN, _apply_inverse, _factor, _lapack, _penalty_band
+from difflaw._lapack import bind as _lapack
+from difflaw.tikhonov import ALPHA_MIN, _apply_inverse, _factor, _penalty_band
 
 
 def _noisy(exact_data, delta, seed):
