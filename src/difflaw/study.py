@@ -1,10 +1,12 @@
 """Noise-level sweep driver, rate fitting, and result serialization.
 
-Each study cell (delta, trial) is a pure computation keyed by a seed
-derived from the base seed, so results are independent of execution order
-and identical configurations produce identical CSV bytes.  The cells of one
-noise level are solved as one stack of Tikhonov problems; a cell's record
-does not depend on the stack it is solved in.
+Each study cell (delta, trial) draws its noise from a seed derived from
+the base seed, and identical configurations produce identical CSV bytes.
+The cells of one noise level are solved as one stack of Tikhonov problems;
+a cell's record does not depend on the stack it is solved in.  Under the
+discrepancy rule a cell's alpha also depends on the previous noise level:
+each level after the first starts its search at the previous level's
+median alpha, scaled by the ratio of the delta^(8/5) rule.
 """
 
 from __future__ import annotations
@@ -126,14 +128,17 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _solve_level(delta, trials, config, exact_data, exact_spline):
-    """Records of the given trials at one noise level, solved as one stack."""
+def _solve_level(delta, trials, config, exact_data, exact_spline, alpha_start=None):
+    """Records of the given trials at one noise level, solved as one stack.
+
+    alpha_start is the discrepancy search's start; the other rules ignore it.
+    """
     seeds = [derive_seed(config.base_seed, delta, trial) for trial in trials]
     data = [add_noise(exact_data, delta, np.random.default_rng(seed)) for seed in seeds]
     problem = build_tikhonov_problem(data, config.n_spline)
     name, param = config.rule
     if name == "discrepancy":
-        results = alpha_discrepancy(problem, delta, tau=param)
+        results = alpha_discrepancy(problem, delta, tau=param, alpha_start=alpha_start)
     else:
         results = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
     errors = np.stack([result.spline.node_values for result in results])
@@ -153,42 +158,65 @@ def _solve_level(delta, trials, config, exact_data, exact_spline):
     ]
 
 
-def _level_outcomes(delta, config, exact_data, exact_spline) -> list:
+def _level_outcomes(delta, config, exact_data, exact_spline, alpha_start=None) -> list:
     """(trial, its record or the error it raised) at one noise level, by trial.
 
     The trials are solved as one stack.  If that raises, they are solved
-    again one by one, each as a stack of one, so that a failing trial
-    reports its own error and the others keep their records; a record does
-    not depend on the stack it was solved in.
+    again one by one, each as a stack of one and from the same alpha_start,
+    so that a failing trial reports its own error and the others keep their
+    records; a record does not depend on the stack it was solved in.
     """
     trials = range(config.trials)
+    args = (config, exact_data, exact_spline, alpha_start)
     try:
-        records = _solve_level(delta, trials, config, exact_data, exact_spline)
+        records = _solve_level(delta, trials, *args)
         return list(zip(trials, records))
     except (NumericalError, ValueError):
         pass
     outcomes = []
     for trial in trials:
         try:
-            (outcome,) = _solve_level(delta, [trial], config, exact_data, exact_spline)
+            (outcome,) = _solve_level(delta, [trial], *args)
         except (NumericalError, ValueError) as exc:
             outcome = exc
         outcomes.append((trial, outcome))
     return outcomes
 
 
+def _warm_start(delta: float, previous: list) -> float | None:
+    """Discrepancy start at `delta` from the records of the previous level.
+
+    The median alpha of those records times the ratio of the delta^(8/5)
+    rule's alphas at `delta` and at theirs; None if there are no records.
+    """
+    if not previous:
+        return None
+    scale = alpha_a_priori(delta, "eight_fifths") / alpha_a_priori(
+        previous[0].delta, "eight_fifths"
+    )
+    return float(np.median([r.alpha for r in previous])) * scale
+
+
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
     """Run all (delta, trial) cells and return records sorted by (delta desc, trial).
 
     Every cell chooses alpha by config.alpha_rule; the cells of one noise
-    level are solved as one stack.  A failing cell is reported as a warning
-    with diagnostics and skipped; the study continues.
+    level are solved as one stack.  Under the discrepancy rule each level
+    but the first starts its search at `_warm_start` of the level before; a
+    level after one without records starts as the first does.  A failing
+    cell is reported as a warning with diagnostics and skipped; the study
+    continues.
     """
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
-    records = []
+    records, previous, alpha_start = [], [], None
     for delta in config.delta_list:
-        for trial, outcome in _level_outcomes(delta, config, exact_data, exact_spline):
+        if config.rule[0] == "discrepancy":
+            alpha_start = _warm_start(delta, previous)
+        previous = []
+        for trial, outcome in _level_outcomes(
+            delta, config, exact_data, exact_spline, alpha_start
+        ):
             if isinstance(outcome, Exception):
                 warnings.warn(
                     f"study cell (delta={delta:g}, trial={trial}) failed: {outcome}",
@@ -196,6 +224,7 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
                 )
             else:
                 records.append(outcome)
+                previous.append(outcome)
                 log.info("cell delta=%g trial=%d: err0=%.4g", delta, trial, outcome.err0)
     records.sort(key=lambda r: (-r.delta, r.trial))
     return records

@@ -414,14 +414,15 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
 class _Search:
     """One member's bracket and Newton iterate in `alpha_discrepancy`."""
 
-    def __init__(self, delta: float, tau: float):
+    def __init__(self, delta: float, tau: float, alpha_start: float | None = None):
         self.target_lo = target_lo = tau * delta
         self.target_hi = 1.5 * tau * delta
         self.window_hi = target_lo * (1 + DISCREPANCY_TOL)
         self.log_goal = np.log(target_lo * (1 + DISCREPANCY_TOL / 2))
         self.lo, self.hi = ALPHA_MIN, ALPHA_MAX
         self.upper = None  # (d, residual) at hi once a tried alpha has reached target_lo
-        self.alpha = float(np.sqrt(self.lo * self.hi))
+        self.alpha = float(np.sqrt(self.lo * self.hi) if alpha_start is None else alpha_start)
+        self.keep_in_bracket()
         self.solves = 0
 
     def landed(self, d: np.ndarray, res: float) -> bool:
@@ -448,19 +449,20 @@ class _Search:
             self.alpha = float(np.sqrt(self.lo * self.hi))
 
 
-def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5):
+def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5, alpha_start=None):
     """Choose alpha a-posteriori so that the residual lands in [tau*d, 1.5*tau*d].
 
     The residual r is nondecreasing in alpha and tends to ||y||_W as alpha
     grows, so ||y||_W < tau*delta means no alpha can reach the bracket.
     Otherwise a safeguarded Newton iteration on ln r against ln alpha aims
     at the middle of the window [tau*d, tau*d (1 + DISCREPANCY_TOL)] at the
-    lower edge of the bracket.  It starts at sqrt(ALPHA_MIN * ALPHA_MAX),
-    changes alpha by at most a factor 100 per step, keeps the bracket
-    (lo, hi) with r(lo) < tau*d <= r(hi), and bisects ln alpha whenever a
-    step would leave it or after MAX_NEWTON_STEPS steps.  The slope costs
-    one back-substitution with the factor already computed: from
-    T^T W (T d - y) = -alpha (K + P) d,
+    lower edge of the bracket.  It starts at alpha_start, or at
+    sqrt(ALPHA_MIN * ALPHA_MAX) when that is None or lies outside
+    (ALPHA_MIN, ALPHA_MAX), changes alpha by at most a factor 100 per step,
+    keeps the bracket (lo, hi) with r(lo) < tau*d <= r(hi), and bisects
+    ln alpha whenever a step would leave it or after MAX_NEWTON_STEPS
+    steps.  The slope costs one back-substitution with the factor already
+    computed: from T^T W (T d - y) = -alpha (K + P) d,
 
         d ln r / d ln alpha = alpha^2 w^T M^{-1} w / r^2,  w = (K + P) d,
 
@@ -470,10 +472,14 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5):
     window is out of reach and the ALPHA_MIN solution is returned.
 
     delta is one noise level for every member or a sequence of one per
-    member.  The members search side by side: each round factors and solves
-    the members still searching in one call, and a member drops out of the
-    rounds once its search is over.  Returns a ReconstructionResult for a
-    problem built from one TraceData, else a tuple of them in stack order.
+    member, and so is alpha_start unless None; a start must be finite and
+    > 0.  A start near the answer saves Newton rounds; an answer that lands
+    in the window moves with the start by no more than the window's width
+    in alpha.  The members search side by side: each round
+    factors and solves the members still searching in one call, and a
+    member drops out of the rounds once its search is over.  Returns a
+    ReconstructionResult for a problem built from one TraceData, else a
+    tuple of them in stack order.
 
     Raises NoiseLevelTooSmallError if the residual at ALPHA_MIN already
     exceeds the bracket, DataTooRoughError if ||y||_W stays below it, and
@@ -485,7 +491,13 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5):
             raise ValueError(f"delta must be finite and > 0, got {value}")
     if not 1 < tau < np.inf:
         raise ValueError(f"tau must be finite and > 1, got {tau}")
-    searches = [_Search(value, tau) for value in deltas]
+    starts = [None] * len(deltas)
+    if alpha_start is not None:
+        starts = _per_member(problem, alpha_start)
+        for value in starts:
+            if not 0 < value < np.inf:
+                raise ValueError(f"alpha_start must be finite and > 0, got {value}")
+    searches = [_Search(value, tau, start) for value, start in zip(deltas, starts)]
     for value, search, y in zip(deltas, searches, problem.y_values):
         data_norm = quadrature_norm(y, problem.quad_weights)
         if data_norm < search.target_lo:

@@ -10,6 +10,7 @@ from difflaw import (
     NoiseLevelTooSmallError,
     StudyConfig,
     add_noise,
+    alpha_a_priori,
     alpha_discrepancy,
     build_tikhonov_problem,
     derive_seed,
@@ -202,18 +203,28 @@ PARTLY_FAILING = StudyConfig(
 
 def test_partly_failing_level_matches_cell_by_cell():
     # the level's stack fails, so its trials are solved again one by one:
-    # the records and warnings are those of solving every cell alone
+    # the records and warnings are those of solving every cell alone, from
+    # the start the level before gives: its median alpha, scaled by the
+    # delta^(8/5) rule
     config = PARTLY_FAILING
     exact_data = reference_exact_data(config.m_quad)
     exact_spline = exact_parameter_spline(config.n_spline)
     expected_records, expected_warnings = [], []
+    previous = None
     for delta in config.delta_list:
+        level = [r.alpha for r in expected_records if r.delta == previous]
+        start = None
+        if level:
+            start = float(np.median(level)) * (
+                alpha_a_priori(delta, "eight_fifths") / alpha_a_priori(previous, "eight_fifths")
+            )
+        previous = delta
         for trial in range(config.trials):
             seed = derive_seed(config.base_seed, delta, trial)
             data = add_noise(exact_data, delta, np.random.default_rng(seed))
             problem = build_tikhonov_problem(data, config.n_spline)
             try:
-                result = alpha_discrepancy(problem, delta, tau=1.5)
+                result = alpha_discrepancy(problem, delta, tau=1.5, alpha_start=start)
             except NoiseLevelTooSmallError as exc:
                 expected_warnings.append(
                     f"study cell (delta={delta:g}, trial={trial}) failed: {exc}"
@@ -233,6 +244,28 @@ def test_partly_failing_level_matches_cell_by_cell():
     assert [str(w.message) for w in caught] == expected_warnings
     assert {w.filename for w in caught} == {__file__}  # the caller of run_study
     assert [r.trial for r in records if r.delta == 2.4e-9] == [0, 1, 3, 5]
+
+
+def test_level_after_one_without_records_starts_cold():
+    # every cell at delta = 10 exceeds the data scale and fails, so the
+    # level after it searches from the default start, as a first level does
+    config = StudyConfig(delta_list=(10.0, 1e-3), alpha_rule="discrepancy", trials=2)
+    with pytest.warns(UserWarning, match="exceeds the data scale"):
+        records = run_study(config)
+    alone = run_study(StudyConfig(delta_list=(1e-3,), alpha_rule="discrepancy", trials=2))
+    assert records == alone
+
+
+def test_warm_start_moves_alpha_within_the_window():
+    # the second level's start comes from the first; each of its records
+    # still lands in the window, next to where a cold start lands
+    warm = run_study(StudyConfig(delta_list=(1e-2, 1e-3), alpha_rule="discrepancy", trials=4))
+    cold = run_study(StudyConfig(delta_list=(1e-3,), alpha_rule="discrepancy", trials=4))
+    for w, c in zip([r for r in warm if r.delta == 1e-3], cold):
+        assert (w.trial, w.seed) == (c.trial, c.seed)
+        assert 1.5e-3 <= w.residual <= 1.5e-3 * (1 + tikhonov.DISCREPANCY_TOL)
+        assert w.alpha == pytest.approx(c.alpha, rel=1e-3)
+        assert w.err0 == pytest.approx(c.err0, rel=2.5e-4)
 
 
 def test_verbose_log_lines(caplog):
@@ -272,7 +305,8 @@ def test_discrepancy_factorizations_per_cell(monkeypatch):
     # a count, not a timing: factorizations per cell of the discrepancy
     # search on the 40 cells of the benchmark's study-discrepancy job.  A
     # level's cells are factored side by side, so each call counts once for
-    # every member (cell) it factors
+    # every member (cell) it factors.  At seed 0 the first level takes 7
+    # per cell and the warm-started levels 3.9, 3.6 and 3.5
     factor, search = tikhonov._factor, study.alpha_discrepancy
     calls, per_cell = Counter(), []
 
@@ -280,10 +314,10 @@ def test_discrepancy_factorizations_per_cell(monkeypatch):
         calls.update(int(i) for i in members)
         return factor(problem, alphas, members)
 
-    def counting_search(problem, delta, tau):
+    def counting_search(problem, delta, tau, alpha_start=None):
         calls.clear()
-        results = search(problem, delta, tau=tau)
-        per_cell.extend(calls[i] for i in range(len(results)))
+        results = search(problem, delta, tau=tau, alpha_start=alpha_start)
+        per_cell.append([calls[i] for i in range(len(results))])
         return results
 
     monkeypatch.setattr(tikhonov, "_factor", counting_factor)
@@ -295,9 +329,13 @@ def test_discrepancy_factorizations_per_cell(monkeypatch):
         base_seed=0,
     )
     records = run_study(config)
-    assert len(records) == len(per_cell) == 40
-    assert sum(per_cell) / len(per_cell) <= 6.5
-    assert max(per_cell) <= 8
+    cells = [count for level in per_cell for count in level]
+    assert len(records) == len(cells) == 40
+    assert sum(cells) / len(cells) <= 4.75
+    assert max(cells) <= 7
+    # levels 2-4 start from the level before, scaled by the delta^(8/5) rule
+    for level in per_cell[1:]:
+        assert sum(level) / len(level) <= 4.0
     for r in records:
         target = 1.5 * r.delta
         assert target <= r.residual <= target * (1 + tikhonov.DISCREPANCY_TOL)

@@ -26,7 +26,13 @@ from difflaw import (
     tikhonov_objective,
 )
 from difflaw._lapack import bind as _lapack
-from difflaw.tikhonov import ALPHA_MIN, _apply_inverse, _factor, _penalty_band
+from difflaw.tikhonov import (
+    ALPHA_MIN,
+    DISCREPANCY_TOL,
+    _apply_inverse,
+    _factor,
+    _penalty_band,
+)
 
 
 def _noisy(exact_data, delta, seed):
@@ -177,17 +183,24 @@ def test_stack_members_solve_as_alone(n, m, deltas):
 @pytest.mark.parametrize("n, m, deltas", STACKS)
 def test_stack_members_search_as_alone(n, m, deltas):
     # the members freeze in different rounds of the side-by-side search
-    # (two at ALPHA_MIN), and each ends bit for bit where it ends alone
+    # (two at ALPHA_MIN), and each ends bit for bit where it ends alone,
+    # from the default start and from a start of its own
     exact = reference_exact_data(m)
     data = [_noisy(exact, delta, seed) for seed, delta in enumerate(deltas)]
-    stacked = alpha_discrepancy(build_tikhonov_problem(data, n), deltas)
-    assert isinstance(stacked, tuple) and len(stacked) == len(data)
-    for member, delta, result in zip(data, deltas, stacked):
-        (alone,) = alpha_discrepancy(build_tikhonov_problem([member], n), [delta])
-        assert _same(result, alone)
-        assert _same(result, alpha_discrepancy(build_tikhonov_problem(member, n), delta))
-    if len(deltas) == 10 and n == 200:
-        assert [r.alpha == ALPHA_MIN for r in stacked].count(True) == 2
+    problem = build_tikhonov_problem(data, n)
+    for starts in (None, np.geomspace(1e-12, 1e-1, len(data))):
+        stacked = alpha_discrepancy(problem, deltas, alpha_start=starts)
+        assert isinstance(stacked, tuple) and len(stacked) == len(data)
+        own = [None] * len(data) if starts is None else starts
+        for member, delta, start, result in zip(data, deltas, own, stacked):
+            (alone,) = alpha_discrepancy(
+                build_tikhonov_problem([member], n), [delta], alpha_start=start
+            )
+            assert _same(result, alone)
+            single = build_tikhonov_problem(member, n)
+            assert _same(result, alpha_discrepancy(single, delta, alpha_start=start))
+        if len(deltas) == 10 and n == 200:
+            assert [r.alpha == ALPHA_MIN for r in stacked].count(True) == 2
 
 
 def test_stack_needs_one_grid(exact_data):
@@ -362,6 +375,52 @@ def test_discrepancy_data_too_rough(exact_data):
     problem = build_tikhonov_problem(exact_data, 200)
     with pytest.raises(DataTooRoughError):
         alpha_discrepancy(problem, 10.0, tau=1.5)
+
+
+def _log_alpha_window(problem, results):
+    """Width in ln alpha of each member's residual window, at its result.
+
+    From the slope d ln r / d ln alpha, by central differences.
+    """
+    alphas = np.array([r.alpha for r in results])
+    step = 1e-3
+    up, down = (solve_tikhonov(problem, alphas * np.exp(s)) for s in (step, -step))
+    slope = np.log([u.residual / d.residual for u, d in zip(up, down)]) / (2 * step)
+    return np.log1p(DISCREPANCY_TOL) / slope
+
+
+@pytest.mark.parametrize("delta", [1e-2, 1e-4])
+def test_discrepancy_lands_alike_from_any_start(exact_data, delta):
+    # from any start each member lands in the window, so its alpha lies in
+    # the window's width in alpha around the default start's; a start out
+    # of (ALPHA_MIN, ALPHA_MAX) is the default start
+    problem = build_tikhonov_problem([_noisy(exact_data, delta, s) for s in range(5)], 200)
+    cold = alpha_discrepancy(problem, delta)
+    width = _log_alpha_window(problem, cold)
+    starts = [None, 1e-12, 1e-2, [1.1 * r.alpha for r in cold], 1e-20, 1e6]
+    for start in starts:
+        results = alpha_discrepancy(problem, delta, alpha_start=start)
+        for result, base, w in zip(results, cold, width):
+            assert 1.5 * delta <= result.residual <= 1.5 * delta * (1 + DISCREPANCY_TOL)
+            assert abs(np.log(result.alpha / base.alpha)) <= 1.05 * w
+            if start in (None, 1e-20, 1e6):
+                assert _same(result, base)
+
+
+@pytest.mark.parametrize("start", [1e-12, 1e-2, 1e-20, 1e6])
+def test_discrepancy_errors_do_not_depend_on_the_start(exact_data, start):
+    problem = build_tikhonov_problem(exact_data, 200)
+    with pytest.raises(NoiseLevelTooSmallError):
+        alpha_discrepancy(problem, 1e-10, alpha_start=start)
+    with pytest.raises(DataTooRoughError):
+        alpha_discrepancy(problem, 10.0, alpha_start=start)
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, np.nan, np.inf, [1e-6, np.nan]])
+def test_discrepancy_validates_the_start(exact_data, start):
+    data = [_noisy(exact_data, 1e-3, seed) for seed in range(2)]
+    with pytest.raises(ValueError, match="alpha_start"):
+        alpha_discrepancy(build_tikhonov_problem(data, 50), 1e-3, alpha_start=start)
 
 
 def test_discrepancy_validates_arguments(exact_data):
