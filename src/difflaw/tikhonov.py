@@ -414,7 +414,7 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
 class _Search:
     """One member's bracket and Newton iterate in `alpha_discrepancy`."""
 
-    def __init__(self, delta: float, tau: float, alpha_start: float | None = None):
+    def __init__(self, delta: float, tau: float, alpha_start: float | None):
         self.target_lo = target_lo = tau * delta
         self.target_hi = 1.5 * tau * delta
         self.window_hi = target_lo * (1 + DISCREPANCY_TOL)
