@@ -23,7 +23,6 @@ import numpy as np
 from .forward import (
     _midpoint_rule,
     add_noise,
-    apply_t,
     operator_norm_ratio,
     quadrature_norm,
     residual_norm,
@@ -102,7 +101,7 @@ def check_forward_consistency():
     """Exact-spline forward values match the exact data closely."""
     data = reference_exact_data(500)
     spline = exact_parameter_spline(200)
-    worst = np.max(np.abs(apply_t(spline, data) - data.y_values))
+    worst = np.max(np.abs(spline.antiderivative(data.h_values) - data.y_values))
     _require(worst <= 3e-5, f"forward mismatch {worst:.2e} > 3e-5")
     check_exact_spline_residual(data, spline)
     return CheckResult(f"max forward mismatch {worst:.2e}", {})
@@ -199,7 +198,7 @@ def check_scale_operator(op, n_samples=50, seed=5):
     both when t - r < 1e-3), then s in [r, t], and checks the interpolation
     inequality at (r, s, t) and the L2 identity of the index -1 norm.
     """
-    lam_min = op.eigenvalues[0]
+    lam_min = float(op.eigenvalues[0])
     _require(lam_min >= 1.0 - 1e-10, f"lambda_min={lam_min!r}")
     rng = np.random.default_rng(seed)
     u = np.zeros((n_samples, op.n_points))

@@ -2,11 +2,11 @@
 
 The forward operator maps the nodal values of the coefficient spline to the
 values of its antiderivative at the measured states h(s_i) along the
-measurement curve.  It is applied through the spline's closed-form
-antiderivative (`apply_t`), which is exactly linear in the nodes; the
-Tikhonov solver assembles the same map as banded rows.  The noisy-data
-variant simply uses the perturbed states, so operator and right-hand side
-are perturbed together.
+measurement curve.  It is applied as `spline.antiderivative(data.h_values)`,
+which evaluates the B-spline rows of A that the Tikhonov solver assembles,
+so it is exactly linear in the nodes.  The noisy-data variant simply uses
+the perturbed states, so operator and right-hand side are perturbed
+together.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ __all__ = [
     "TraceData",
     "make_exact_data",
     "add_noise",
-    "apply_t",
     "quadrature_norm",
     "residual_norm",
-    "mapping_weight",
     "operator_norm_ratio",
 ]
 
@@ -167,11 +165,6 @@ def add_noise(data: TraceData, delta: float, rng: np.random.Generator) -> TraceD
     return data._with_values(h_noisy, data.y_values + eta, float(delta))
 
 
-def apply_t(spline: ParameterSpline, data: TraceData) -> np.ndarray:
-    """Forward-map values A(h_i) for the given spline."""
-    return spline.antiderivative(data.h_values)
-
-
 def quadrature_norm(values: np.ndarray, weights: np.ndarray):
     """Discrete L2 norm sqrt(sum_i w_i v_i^2) over the curve parameter.
 
@@ -184,46 +177,8 @@ def quadrature_norm(values: np.ndarray, weights: np.ndarray):
 
 def residual_norm(spline: ParameterSpline, data: TraceData) -> float:
     """Quadrature-weighted L2 norm of T(spline) - y over the parameter range."""
-    return quadrature_norm(apply_t(spline, data) - data.y_values, data.quad_weights)
-
-
-def mapping_weight(curve: CurveParametrization, u: float) -> float:
-    """Change-of-variables weight w(u) = 1 / |h'(h^{-1}(u))|.
-
-    Requires h strictly monotone on [s_lo, s_hi].  u may lie anywhere in
-    the closed state range attained by h; outside it the inverse is
-    undefined and a DomainError is raised.
-    """
-    f_lo = float(curve.h(curve.s_lo)) - u
-    f_hi = float(curve.h(curve.s_hi)) - u
-    if f_lo == 0.0:
-        s_star = curve.s_lo
-    elif f_hi == 0.0:
-        s_star = curve.s_hi
-    elif f_lo * f_hi > 0:
-        # tolerate sub-ulp overshoot at the ends of the attained range
-        tol = 1e-12 * curve.interval.length
-        if min(abs(f_lo), abs(f_hi)) <= tol:
-            s_star = curve.s_lo if abs(f_lo) < abs(f_hi) else curve.s_hi
-        else:
-            raise DomainError(
-                f"u={u!r} is not attained by h on [{curve.s_lo}, {curve.s_hi}]"
-            )
-    else:
-        # bisection down to adjacent floats; h is monotone, so the sign of
-        # h(s) - u tells on which side of the root s lies
-        lo, hi = curve.s_lo, curve.s_hi
-        s_star = 0.5 * (lo + hi)
-        while lo < s_star < hi:
-            if (float(curve.h(s_star)) > u) == (f_lo > 0):
-                lo = s_star
-            else:
-                hi = s_star
-            s_star = 0.5 * (lo + hi)
-    slope = abs(float(curve.h_prime(s_star)))
-    if slope < 1e-14:
-        raise DomainError(f"h'(h^-1(u)) vanishes at u={u!r}; weight undefined")
-    return 1.0 / slope
+    misfit = spline.antiderivative(data.h_values) - data.y_values
+    return quadrature_norm(misfit, data.quad_weights)
 
 
 def operator_norm_ratio(spline, curve: CurveParametrization, m: int):

@@ -109,11 +109,6 @@ class DiscreteScaleOperator:
         exponent = ((s[..., None] if s.ndim else float(s)) + 1.0) / 2.0
         return np.sqrt(np.sum(self.eigenvalues**exponent * c**2, axis=-1))
 
-    def stiffness_energy(self, u: np.ndarray) -> float:
-        """Quadratic form u^T K u evaluated as ||F u||^2, hence >= 0 exactly."""
-        u = np.asarray(u, dtype=float)
-        return float(np.sum((self.stiffness_factor @ u[1:]) ** 2))
-
     def scale_norm(self, u: np.ndarray, s):
         """Shifted-scale norm of index s: sqrt(sum_k lambda_k^((s+1)/2) c_k^2).
 

@@ -1,21 +1,25 @@
-"""Piecewise-linear representation of the unknown coefficient a(u).
+"""Piecewise-linear coefficient a(u) and the one basis of its antiderivative A.
 
 The coefficient is stored through its nodal values on a uniform grid over a
-state interval.  Evaluation is linear interpolation; the induced
-antiderivative A(u) = int_{u_min}^u a(w) dw is piecewise quadratic and is
-computed in closed form, so that A is exactly linear in the nodal values.
-All norms (L2, H1, and the L2 norm of A) are evaluated with element-wise
-exact quadrature.  `_locate` and `_element_gauss_rule` are shared with the
-Tikhonov assembly, which writes A in the quadratic B-spline basis.  `_norms`
-and `_antiderivative` take nodal values stacked along leading axes, so the
-study measures its errors, and the property checks evaluate their random
-splines, in one pass; one spline is the one-row case.
+state interval, and evaluation is linear interpolation.  Its antiderivative
+A(u) = int_{u_min}^u a(w) dw is piecewise quadratic, written in the
+coefficients d of uniform quadratic B-splines (de Boor; Eilers & Marx's
+P-splines).  On element k with local coordinate t,
+
+    A = d_{k-1} (1 - t)^2 / 2 + d_k (1 + 2t - 2t^2) / 2 + d_{k+1} t^2 / 2,
+
+with A(u_min) = 0 as d_{-1} = -d_0 folded into column 0, and the nodal
+values are a_0 = 2 d_0 / dx, a_j = (d_j - d_{j-1}) / dx.  `_value_rows`
+gives these rows at any points: the Tikhonov assembly builds T and the
+penalty from them, and `_antiderivative` applies them, so A is exactly
+linear in the nodes.  All norms are exact element-wise quadratures.
+`_norms` and `_antiderivative` take nodal values stacked along leading
+axes, so a stack of splines takes one pass; one spline is the one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,14 +76,15 @@ def _locate(interval: StateInterval, n_elements: int, u) -> tuple[np.ndarray, np
     Raises DomainError for a point outside the interval.
     """
     uq = np.atleast_1d(np.asarray(u, dtype=float))
-    bad = ~interval.contains(uq)
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    inside = interval.contains(uq)
+    if not inside.all():
+        i = int(np.argmin(inside))
         raise DomainError(
             f"u[{i}]={uq.ravel()[i]!r} outside [{interval.u_min}, {interval.u_max}]"
         )
     dx = interval.length / n_elements
-    k = np.clip(((uq - interval.u_min) / dx).astype(int), 0, n_elements - 1)
+    # every u >= u_min here, so k >= 0 and only the top end needs clipping
+    k = np.minimum(((uq - interval.u_min) / dx).astype(int), n_elements - 1)
     t = (uq - (interval.u_min + k * dx)) / dx
     return k, t
 
@@ -131,23 +136,6 @@ class ParameterSpline:
             raise ValueError(f"non-finite node value at node {i}: {values[i]!r}")
         values.flags.writeable = False
         object.__setattr__(self, "node_values", values)
-
-    @classmethod
-    def from_function(
-        cls, f: Callable[[float], float], interval: StateInterval, n_elements: int
-    ) -> "ParameterSpline":
-        """Sample `f` at the uniform grid nodes.
-
-        Non-finite samples are rejected with a diagnostic naming the node.
-        """
-        grid = interval.uniform_grid(n_elements)
-        values = np.array([float(f(u)) for u in grid])
-        if not np.all(np.isfinite(values)):
-            i = int(np.argmax(~np.isfinite(values)))
-            raise ValueError(
-                f"f(u) is not finite at node {i} (u={grid[i]!r}): {values[i]!r}"
-            )
-        return cls(interval, values)
 
     @property
     def n_elements(self) -> int:
@@ -202,29 +190,52 @@ class ParameterSpline:
         return ParameterSpline(self.interval, self.node_values - other.node_values)
 
 
+def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of three weights from column `first`, with d_{-1} = -d_0 folded in.
+
+    A row starting at column -1 is shifted to start at column 0; `weights`,
+    (..., 3), may be updated in place.
+    """
+    edge = np.flatnonzero(first < 0)
+    rows = weights.reshape(-1, 3)
+    rows[edge] = np.column_stack(
+        (rows[edge, 1] - rows[edge, 0], rows[edge, 2], np.zeros(edge.size))
+    )
+    return np.maximum(first, 0), rows.reshape(weights.shape)
+
+
+def _value_rows(interval: StateInterval, n: int, u) -> tuple[np.ndarray, np.ndarray]:
+    """Rows giving A(u) in the B-spline coefficients d, one per point of u."""
+    k, t = _locate(interval, n, u)
+    weights = np.stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2), axis=-1)
+    return _fold(k - 1, weights)
+
+
+def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
+    return np.concatenate((2 * d[..., :1], np.diff(d, axis=-1)), axis=-1) / dx
+
+
+def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
+    return dx * (np.cumsum(a, axis=-1) - a[..., :1] / 2)
+
+
 def _antiderivative(interval: StateInterval, a: np.ndarray, u) -> np.ndarray:
     """A(u) for nodal values `a` stacked along leading axes, (..., n+1).
 
-    The points u are located once for the whole stack; the result has shape
-    a.shape[:-1] + u.shape (u at least 1-d).  Each row computes what it
-    would alone, bit for bit.
+    The rows of the points u are formed once for the whole stack; the
+    result has shape a.shape[:-1] + u.shape (u at least 1-d).  Each row
+    computes what it would alone, bit for bit.
     """
     n = a.shape[-1] - 1
-    k, t = _locate(interval, n, u)
-    dx = interval.length / n
-    # cumulative integrals over full elements
-    cum = np.zeros(a.shape)
-    np.cumsum(0.5 * dx * (a[..., :-1] + a[..., 1:]), axis=-1, out=cum[..., 1:])
-    # dx (a_k (t - t^2/2) + a_{k+1} t^2/2) + cum_k, in place on stack-sized
-    # arrays; np.take keeps them C-ordered, so a row sum runs as it would alone
-    half_t_sq = 0.5 * t * t
-    out = np.take(a, k, axis=-1)
-    out *= t - half_t_sq
-    right = np.take(a, k + 1, axis=-1)
-    right *= half_t_sq
-    out += right
-    out *= dx
-    out += np.take(cum, k, axis=-1, out=right)
+    first, weights = _value_rows(interval, n, u)
+    padded = np.zeros(a.shape[:-1] + (n + 3,))
+    padded[..., :-2] = _coefficients(a, interval.length / n)
+    out = np.take(padded, first, axis=-1)
+    out *= weights[..., 0]
+    for p in (1, 2):
+        term = np.take(padded, first + p, axis=-1)
+        term *= weights[..., p]
+        out += term
     return out
 
 

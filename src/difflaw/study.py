@@ -73,11 +73,14 @@ def _parse_alpha_rule(rule: str) -> tuple[str, float]:
             raise ValueError("the quadratic rule takes no parameter")
         return "quadratic", 0.0
     if name == "eight_fifths":
-        return "eight_fifths", float(param) if param else 0.1
+        coeff = float(param) if param else 0.1
+        if not 0 < coeff < np.inf:
+            raise ValueError(f"alpha rule {rule!r}: coefficient must be finite and > 0")
+        return "eight_fifths", coeff
     if name == "discrepancy":
         tau = float(param) if param else 1.5
-        if tau <= 1:
-            raise ValueError(f"discrepancy tau must be > 1, got {tau}")
+        if not 1 < tau < np.inf:
+            raise ValueError(f"alpha rule {rule!r}: tau must be finite and > 1")
         return "discrepancy", tau
     raise ValueError(f"unknown alpha rule {rule!r}")
 

@@ -9,19 +9,14 @@ antiderivative A(u) = int_{u_min}^u a at the measured states, W holds the
 curve quadrature weights, and both penalty terms are exact L2 norms over
 the state interval (||a'|| = ||A''||).
 
-The system is solved in the coefficients d_0..d_n of A in uniform
-quadratic B-splines, the local basis of A (de Boor; Eilers & Marx's
-P-splines).  On element k with local coordinate t,
-
-    A = d_{k-1} (1 - t)^2 / 2 + d_k (1 + 2t - 2t^2) / 2 + d_{k+1} t^2 / 2,
-
-and the normalization A(u_min) = 0 is d_{-1} = -d_0, folded into column 0.
-Every row of T and of the penalties then has three nonzeros, so the normal
-matrix T^T W T + alpha (K + P) is a symmetric positive definite band of
-half-width 2, factored by one banded Cholesky (LAPACK dpbtrf) per alpha.
-LAPACK is numpy's own: the OpenBLAS that numpy's wheels bundle as
-scipy-openblas64, called through ctypes with 64-bit integers.
-The nodal values are a_0 = 2 d_0 / dx and a_j = (d_j - d_{j-1}) / dx.
+The system is solved in the coefficients d of A in the quadratic B-spline
+basis that `difflaw.splines` owns; this module does the band and row
+algebra on its rows.  Every row of T and of the penalties has three
+nonzeros, so the normal matrix T^T W T + alpha (K + P) is a symmetric
+positive definite band of half-width 2, factored by one banded Cholesky
+(LAPACK dpbtrf) per alpha.  LAPACK is numpy's own: the OpenBLAS that
+numpy's wheels bundle as scipy-openblas64, called through ctypes with
+64-bit integers.
 
 The penalty K + P depends on the grid alone, so its band is assembled once
 per (interval, n_elements), kept in a small memo and shared, read-only, by
@@ -59,7 +54,8 @@ import numpy as np
 from ._lapack import DOUBLES, INT, bind, dptr, int64
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, quadrature_norm
-from .splines import ParameterSpline, StateInterval, _element_gauss_rule, _locate
+from .splines import ParameterSpline, StateInterval, _element_gauss_rule
+from .splines import _antiderivative, _coefficients, _fold, _nodes, _value_rows  # basis of A
 
 __all__ = [
     "TikhonovProblem",
@@ -91,27 +87,6 @@ MAX_NEWTON_STEPS = int(
 # (uplo, n, kd, ab, ldab, info) and (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
 _dpbtrf = bind("dpbtrf", INT, INT, DOUBLES, INT, INT)
 _dpbtrs = bind("dpbtrs", INT, INT, INT, DOUBLES, INT, DOUBLES, INT, INT)
-
-
-def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of three weights from column `first`, with d_{-1} = -d_0 folded in.
-
-    A row starting at column -1 is shifted to start at column 0; `weights`,
-    (..., 3), may be updated in place.
-    """
-    edge = np.flatnonzero(first < 0)
-    rows = weights.reshape(-1, 3)
-    rows[edge] = np.column_stack(
-        (rows[edge, 1] - rows[edge, 0], rows[edge, 2], np.zeros(edge.size))
-    )
-    return np.maximum(first, 0), rows.reshape(weights.shape)
-
-
-def _value_rows(interval: StateInterval, n: int, u) -> tuple[np.ndarray, np.ndarray]:
-    """Rows giving A(u) in the B-spline coefficients d, one per point of u."""
-    k, t = _locate(interval, n, u)
-    weights = np.stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2), axis=-1)
-    return _fold(k - 1, weights)
 
 
 def _columns(first: np.ndarray, width: int) -> np.ndarray:
@@ -152,14 +127,6 @@ def _band_apply(band: np.ndarray, d: np.ndarray) -> np.ndarray:
         out[..., :-k] += band[2 - k, k:] * d[..., k:]
         out[..., k:] += band[2 - k, k:] * d[..., :-k]
     return out
-
-
-def _nodes(d: np.ndarray, dx: float) -> np.ndarray:
-    return np.concatenate((2 * d[..., :1], np.diff(d, axis=-1)), axis=-1) / dx
-
-
-def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
-    return dx * (np.cumsum(a, axis=-1) - a[..., :1] / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,14 +350,10 @@ def tikhonov_objective(problem: TikhonovProblem, node_values: np.ndarray, alpha:
         raise ValueError("tikhonov_objective takes a problem built from one data set")
     node_values = np.asarray(node_values, dtype=float)
     d = np.atleast_2d(_coefficients(node_values, problem.spacing))
-    # the one member's rows, shared by every vector of the stack
-    first, weights = problem.t_rows
-    rows = (
-        np.broadcast_to(first, (len(d), first.shape[-1])),
-        np.broadcast_to(weights, (len(d), *weights.shape[1:])),
-    )
-    misfit = _apply(rows, d) - problem.y_values
-    value = np.sum(problem.quad_weights * misfit**2, axis=-1) + alpha * np.vecdot(
+    data = problem.data
+    misfit = _antiderivative(data.interval, np.atleast_2d(node_values), data.h_values)
+    misfit -= data.y_values
+    value = np.sum(data.quad_weights * misfit**2, axis=-1) + alpha * np.vecdot(
         d, _band_apply(problem.penalty_band, d)
     )
     return float(value[0]) if node_values.ndim == 1 else value
@@ -401,12 +364,15 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
 
     rule="quadratic" gives delta^2; rule="eight_fifths" (with an
     underscore) gives coeff * delta^(8/5) with the default coefficient 0.1.
+    delta, and coeff under eight_fifths, must be finite and > 0.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta}")
     if rule == "quadratic":
         return float(delta) ** 2
     if rule == "eight_fifths":
+        if not 0 < coeff < np.inf:
+            raise ValueError(f"coeff must be finite and > 0, got {coeff}")
         return coeff * float(delta) ** 1.6
     raise ValueError(f"unknown parameter-choice rule {rule!r}")
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -86,6 +87,13 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert main(["reconstruct", "--delta", "1e-2", "--alpha", "-1", "--out", "x"]) == 1
     assert main(["study", "--deltas", "nan", "--out", str(tmp_path)]) == 1
     assert main(["study", "--deltas", "inf,1e-2", "--out", str(tmp_path)]) == 1
+    # a bad rule parameter fails before any cell is solved
+    capsys.readouterr()
+    for rule in ["eight-fifths:-1", "eight-fifths:0", "eight-fifths:nan", "discrepancy:nan",
+                 "discrepancy:inf"]:
+        assert main(["study", "--alpha-rule", rule, "--out", str(tmp_path / "r")]) == 1
+        assert f"alpha rule {rule!r}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
     out = str(tmp_path / "x.csv")
     valid = ["reconstruct", "--delta", "1e-2", "--alpha", "1e-4", "--out", out]
     for flag, value in [
@@ -225,8 +233,7 @@ def _run_python(args, cwd=None):
 def test_cli_loads_no_scipy(tmp_path):
     # LAPACK comes from numpy's own OpenBLAS; scipy is not a dependency
     probe = (
-        "import sys, difflaw.cli, difflaw as dl; "
-        "dl.mapping_weight(dl.reference_curve(), 0.3); "
+        "import sys, difflaw.cli; "
         "main = difflaw.cli.main; "
         "assert main(['reconstruct', '--delta', '1e-3', '--alpha', '1e-6', "
         "'--n', '50', '--m', '100', '--out', 'spline.csv']) == 0; "
@@ -248,6 +255,15 @@ def test_checks_fail_under_optimize():
     done = _run_python(["-O", "-c", probe])
     assert done.returncode == 1
     assert "FAIL operator mapping band: ratio range [2.0000, 2.0000]" in done.stdout
+
+
+def test_readme_python_blocks_run(tmp_path):
+    # the quickstart's blocks in order, as one script: the second uses the first's data
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    done = _run_python(["-c", "".join(blocks)], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

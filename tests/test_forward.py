@@ -9,11 +9,9 @@ from difflaw import (
     GridMismatchError,
     ParameterSpline,
     add_noise,
-    apply_t,
     checks,
     exact_antiderivative,
     make_exact_data,
-    mapping_weight,
     operator_norm_ratio,
     reference_curve,
     reference_interval,
@@ -126,11 +124,12 @@ def test_add_noise_deterministic(exact_data):
 def test_t_matrix_constant_spline(exact_data):
     interval = exact_data.interval
     np.testing.assert_allclose(
-        apply_t(ParameterSpline(interval, np.ones(51)), exact_data),
+        ParameterSpline(interval, np.ones(51)).antiderivative(exact_data.h_values),
         exact_data.h_values - interval.u_min,
         rtol=1e-13,
     )
-    assert np.all(apply_t(ParameterSpline(interval, np.zeros(51)), exact_data) == 0.0)
+    zero = ParameterSpline(interval, np.zeros(51))
+    assert np.all(zero.antiderivative(exact_data.h_values) == 0.0)
 
 
 def test_t_matrix_matches_exact_data():
@@ -142,7 +141,7 @@ def test_t_matrix_linearity(exact_data):
     p, q = rng.normal(size=81), rng.normal(size=81)
 
     def t(nodes):
-        return apply_t(ParameterSpline(exact_data.interval, nodes), exact_data)
+        return ParameterSpline(exact_data.interval, nodes).antiderivative(exact_data.h_values)
 
     np.testing.assert_allclose(
         t(2.0 * p - 0.5 * q), 2.0 * t(p) - 0.5 * t(q), rtol=1e-12, atol=1e-15
@@ -167,21 +166,6 @@ def test_residual_norm_zero_spline_and_homogeneity(exact_data):
 
 def test_residual_norm_exact_spline(exact_data, exact_spline):
     checks.check_exact_spline_residual(exact_data, exact_spline)
-
-
-def test_mapping_weight_reference_values():
-    curve = reference_curve()
-    assert mapping_weight(curve, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert mapping_weight(curve, curve.interval.u_max) == pytest.approx(SQRT2, rel=1e-9)
-    assert mapping_weight(curve, curve.interval.u_min) == pytest.approx(SQRT2, rel=1e-9)
-    # analytic form 1/sqrt(1-u^2) at an interior point
-    assert mapping_weight(curve, 0.3) == pytest.approx(1 / np.sqrt(1 - 0.09), rel=1e-9)
-
-
-def test_mapping_weight_outside_range():
-    curve = reference_curve()
-    with pytest.raises(DomainError):
-        mapping_weight(curve, 0.9)
 
 
 def test_operator_norm_ratio_band():

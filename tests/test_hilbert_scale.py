@@ -67,9 +67,9 @@ def test_lapack_failure_names_the_routine(monkeypatch, routine, lengths):
 
 def test_linear_function_rayleigh_quotient(op400):
     # u(x) = x - u_min has vanishing interior second differences, so its
-    # stiffness energy is exactly zero and the Rayleigh quotient is 1
+    # stiffness energy ||F u||^2 is exactly zero and the Rayleigh quotient is 1
     u = op400.grid - op400.grid[0]
-    energy = op400.stiffness_energy(u)
+    energy = np.sum((op400.stiffness_factor @ u[1:]) ** 2)
     quotient = 1.0 + energy / (u[1:] @ (op400.mass * u[1:]))
     assert 1.0 <= quotient <= 1.0 + 1e-8
     # the factored form and the assembled matrix agree up to assembly rounding

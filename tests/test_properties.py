@@ -34,12 +34,47 @@ seeds = st.integers(0, 2**32 - 1)
 TEMPLATE = reference_exact_data(52)
 
 
+def _oracle_antiderivative(spline, u):
+    """A(u) from the nodal values alone, independent of the package's B-spline rows.
+
+    The full elements left of u add their trapezoids, and the element that
+    holds u adds (u - x_k)(a_k + a(u))/2, exact for the linear a.
+    """
+    x, a = spline.nodes, spline.node_values
+    k = np.clip(np.searchsorted(x, u, side="right") - 1, 0, spline.n_elements - 1)
+    full = np.concatenate(([0.0], np.cumsum(spline.spacing * (a[:-1] + a[1:]) / 2)))
+    return full[k] + (u - x[k]) * (a[k] + spline(u)) / 2
+
+
+def _oracle_l2_sq(spline):
+    """||A||^2 by 3-point Gauss-Legendre per element, exact for the quartic A^2."""
+    g, w = np.polynomial.legendre.leggauss(3)
+    dx = spline.spacing
+    points = (spline.nodes[:-1, None] + (g + 1) * dx / 2).ravel()
+    weights = np.tile(w * dx / 2, spline.n_elements)
+    return np.sum(weights * _oracle_antiderivative(spline, points) ** 2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(interval=intervals, n=st.integers(1, 2000), seed=seeds)
+def test_antiderivative_matches_nodal_oracle(interval, n, seed):
+    # at points that include both ends and every node; a state u carries a
+    # rounding error of order eps |u|, so the scale is the largest |u| when
+    # that exceeds the length
+    rng = np.random.default_rng(seed)
+    spline = ParameterSpline(interval, rng.normal(size=n + 1))
+    u = np.concatenate((spline.nodes, rng.uniform(interval.u_min, interval.u_max, 200)))
+    error = np.max(np.abs(spline.antiderivative(u) - _oracle_antiderivative(spline, u)))
+    scale = max(interval.length, abs(interval.u_min), abs(interval.u_max))
+    assert error <= 1e-12 * scale * np.max(np.abs(spline.node_values))
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(interval=intervals, n=st.integers(1, 2000), seed=seeds)
 def test_objective_matches_spline_forms(interval, n, seed):
     # the banded system's objective against the nodal-basis forms: the
-    # misfit through ParameterSpline.antiderivative, the penalty
-    # ||a'||^2 + ||A||^2 from the spline's exact norms
+    # misfit and ||A||^2 through the nodal oracle of A, ||a'||^2 from the
+    # nodes
     rng = np.random.default_rng(seed)
     h = np.concatenate(
         ([interval.u_min, interval.u_max], rng.uniform(interval.u_min, interval.u_max, 50))
@@ -54,8 +89,8 @@ def test_objective_matches_spline_forms(interval, n, seed):
     a = rng.normal(size=n + 1)
     alpha = 10.0 ** rng.uniform(-8, 2)
     spline = ParameterSpline(interval, a)
-    misfit = spline.antiderivative(h) - data.y_values
-    penalty = np.sum(np.diff(a) ** 2) / spline.spacing + antiderivative_l2_norm(spline) ** 2
+    misfit = _oracle_antiderivative(spline, h) - data.y_values
+    penalty = np.sum(np.diff(a) ** 2) / spline.spacing + _oracle_l2_sq(spline)
     expected = np.sum(data.quad_weights * misfit**2) + alpha * penalty
     problem = build_tikhonov_problem(data, n)
     assert abs(tikhonov_objective(problem, a, alpha) - expected) <= 1e-10 * expected

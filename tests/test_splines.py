@@ -22,30 +22,15 @@ def test_interval_validation():
     assert StateInterval(0.0, 2.0).length == 2.0
 
 
-def test_from_function_samples_nodes():
-    interval = reference_interval()
-    spline = ParameterSpline.from_function(lambda u: 1 + u**2, interval, 2)
-    np.testing.assert_allclose(spline.node_values, [1.5, 1.0, 1.5], rtol=1e-15)
-
-
-def test_from_function_zero_and_linear():
-    spline = ParameterSpline.from_function(lambda u: 0.0, StateInterval(-3.0, 2.0), 4)
-    assert np.all(spline.node_values == 0.0)
-    spline = ParameterSpline.from_function(lambda u: u, StateInterval(0.0, 1.0), 1)
-    np.testing.assert_array_equal(spline.node_values, [0.0, 1.0])
-
-
-def test_from_function_rejects_non_finite():
-    with pytest.raises(ValueError, match="node 0"):
-        ParameterSpline.from_function(
-            lambda u: float("nan") if u == 0.0 else 1.0, StateInterval(0.0, 1.0), 2
-        )
+def test_spline_rejects_non_finite_node():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="node 1"):
+            ParameterSpline(StateInterval(0.0, 1.0), [1.0, bad, 1.0])
 
 
 def test_eval_at_node_is_exact():
-    spline = ParameterSpline.from_function(
-        lambda u: 1 + u**2, reference_interval(), 200
-    )
+    interval = reference_interval()
+    spline = ParameterSpline(interval, 1 + interval.uniform_grid(200) ** 2)
     # 0 is a node for even n
     assert spline(0.0) == 1.0
 
@@ -57,9 +42,8 @@ def test_eval_linear_interpolation():
 
 def test_eval_interpolation_error_bound():
     # |f - spline| <= h^2/8 * max|f''| with h = sqrt(2)/200, f'' = 2
-    spline = ParameterSpline.from_function(
-        lambda u: 1 + u**2, reference_interval(), 200
-    )
+    interval = reference_interval()
+    spline = ParameterSpline(interval, 1 + interval.uniform_grid(200) ** 2)
     assert abs(spline(0.5) - 1.25) <= 2.5e-5
 
 
@@ -81,7 +65,7 @@ def test_antiderivative_of_reference_parameter():
     # int over I of 1+u^2 = 2g + 2g^3/3 with g = 1/sqrt(2), within the
     # trapezoid-rule error of the sampled spline
     interval = reference_interval()
-    spline = ParameterSpline.from_function(lambda u: 1 + u**2, interval, 200)
+    spline = ParameterSpline(interval, 1 + interval.uniform_grid(200) ** 2)
     exact = 7.0 / (3.0 * SQRT2)
     assert exact == pytest.approx(1.64992, abs=1e-5)
     trapezoid_error = interval.length * (interval.length / 200) ** 2 * 2 / 12

@@ -39,8 +39,10 @@ def test_config_validation():
         StudyConfig(trials=0)
     with pytest.raises(ValueError):
         StudyConfig(alpha_rule="cubic")
-    with pytest.raises(ValueError):
-        StudyConfig(alpha_rule="discrepancy:0.5")
+    for rule in ["discrepancy:0.5", "discrepancy:1", "discrepancy:nan", "discrepancy:inf",
+                 "eight-fifths:-1", "eight-fifths:0", "eight-fifths:nan", "eight-fifths:inf"]:
+        with pytest.raises(ValueError, match="alpha rule"):
+            StudyConfig(alpha_rule=rule)
     StudyConfig(alpha_rule="eight-fifths:0.05")  # hyphens accepted
     for name, bad in [
         ("trials", 2.5),

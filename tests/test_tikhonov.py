@@ -329,8 +329,13 @@ def test_alpha_a_priori_rules():
     assert alpha_a_priori(1e-2, "eight_fifths", coeff=1.0) == pytest.approx(
         10 ** (-3.2), rel=1e-12
     )
-    with pytest.raises(ValueError):
-        alpha_a_priori(0.0, "quadratic")
+    for delta in (0.0, -1e-2, np.nan, np.inf):
+        for rule in ("quadratic", "eight_fifths"):
+            with pytest.raises(ValueError, match="delta"):
+                alpha_a_priori(delta, rule)
+    for coeff in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="coeff"):
+            alpha_a_priori(1e-2, "eight_fifths", coeff=coeff)
     with pytest.raises(ValueError):
         alpha_a_priori(1e-2, "cubic")
 
