@@ -101,15 +101,19 @@ def check_forward_consistency():
     """Exact-spline forward values match the exact data closely."""
     data = reference_exact_data(500)
     spline = exact_parameter_spline(200)
-    worst = np.max(np.abs(spline.antiderivative(data.h_values) - data.y_values))
+    misfit = spline.antiderivative(data.h_values) - data.y_values
+    worst = np.max(np.abs(misfit))
     _require(worst <= 3e-5, f"forward mismatch {worst:.2e} > 3e-5")
-    check_exact_spline_residual(data, spline)
+    _require_exact_residual(quadrature_norm(misfit, data.quad_weights))
     return CheckResult(f"max forward mismatch {worst:.2e}", {})
 
 
 def check_exact_spline_residual(data, spline):
     """The exact spline's data residual stays within 3e-5 * sqrt(pi/2)."""
-    residual = residual_norm(spline, data)
+    _require_exact_residual(residual_norm(spline, data))
+
+
+def _require_exact_residual(residual: float) -> None:
     _require(residual <= 3e-5 * np.sqrt(np.pi / 2), f"exact-spline residual {residual:.2e}")
 
 

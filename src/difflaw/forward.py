@@ -21,8 +21,8 @@ from .splines import (
     ParameterSpline,
     StateInterval,
     _antiderivative,
+    _antiderivative_l2_norms,
     _node_stack,
-    antiderivative_l2_norm,
 )
 
 __all__ = [
@@ -190,11 +190,11 @@ def operator_norm_ratio(spline, curve: CurveParametrization, m: int):
     float, or a sequence of them on one grid, giving an array of ratios in
     sequence order; h is evaluated once for all of them.
     """
-    a_norm = antiderivative_l2_norm(spline)
+    interval, a = _node_stack(spline)
+    a_norm = _antiderivative_l2_norms(interval, a)
     if np.any(a_norm == 0.0):
         raise ValueError("operator norm ratio undefined for the zero spline")
     s, weights = _midpoint_rule(curve, m)
-    interval, a = _node_stack(spline)
     values = _antiderivative(interval, a, np.asarray(curve.h(s), dtype=float))
     ratio = quadrature_norm(values, weights) / a_norm
     return float(ratio[0]) if isinstance(spline, ParameterSpline) else ratio

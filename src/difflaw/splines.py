@@ -263,8 +263,12 @@ def antiderivative_l2_norm(spline):
     quadratic per element, A^2 quartic, so 3-point Gauss per element
     integrates it exactly.
     """
-    interval, a = _node_stack(spline)
+    norms = _antiderivative_l2_norms(*_node_stack(spline))
+    return float(norms[0]) if isinstance(spline, ParameterSpline) else norms
+
+
+def _antiderivative_l2_norms(interval: StateInterval, a: np.ndarray) -> np.ndarray:
+    """Exact L2(I) norms of the antiderivatives of nodal values `a`, (S, n+1)."""
     points, weights = _element_gauss_rule(interval, a.shape[-1] - 1)
     values = _antiderivative(interval, a, points)
-    norms = np.sqrt(np.sum(weights * values**2, axis=-1))
-    return float(norms[0]) if isinstance(spline, ParameterSpline) else norms
+    return np.sqrt(np.sum(weights * values**2, axis=-1))

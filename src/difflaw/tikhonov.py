@@ -14,9 +14,12 @@ basis that `difflaw.splines` owns; this module does the band and row
 algebra on its rows.  Every row of T and of the penalties has three
 nonzeros, so the normal matrix T^T W T + alpha (K + P) is a symmetric
 positive definite band of half-width 2, factored by one banded Cholesky
-(LAPACK dpbtrf) per alpha.  LAPACK is numpy's own: the OpenBLAS that
-numpy's wheels bundle as scipy-openblas64, called through ctypes with
-64-bit integers.
+(LAPACK dpbtrf) per alpha.  dpbtrf gets the lower band, whose rank-one
+update at each column runs on unit-stride vectors, and the factor is copied
+into the upper band that the solves (dpbtrs) take; the upper layout gives
+the same factor bit for bit, only slower.  LAPACK is numpy's own: the
+OpenBLAS that numpy's wheels bundle as scipy-openblas64, called through
+ctypes with 64-bit integers.
 
 The penalty K + P depends on the grid alone, so its band is assembled once
 per (interval, n_elements), kept in a small memo and shared, read-only, by
@@ -33,10 +36,11 @@ carries the alpha used.
 A problem is a stack of S members, one per data set; the data sets share
 the interval and the quadrature, and a single `TraceData` is a stack of
 one.  Every array but the penalty band has a leading stack axis, and each
-member is solved with its own alpha (or delta).  The members' (3, n+1)
-bands are laid side by side in one (3, S (n+1)) LAPACK band: the entries
-that would couple two blocks are the unused top-left entries of each band,
-which are zero, so one dpbtrf and one dpbtrs call factor and solve every
+member is solved with its own alpha (or delta).  The members' bands are
+laid side by side in one (3, S (n+1)) LAPACK band: the entries that would
+couple two blocks are the last sub-diagonal entries of each member in the
+lower layout, and the first super-diagonal entries in the upper one, all
+written as zeros, so one dpbtrf and one dpbtrs call factor and solve every
 member, each bit for bit as it would be alone.  A stack returns a tuple of
 results in stack order.  Also provided: the two a-priori parameter-choice
 rules and the naive differentiation reconstruction that serves as the
@@ -101,7 +105,13 @@ def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
     padded = np.zeros(d.shape[:-1] + (d.shape[-1] + 2,))
     padded[..., :-2] = d
     columns, values = _columns(first, padded.shape[-1]), padded.ravel()
-    return sum(weights[..., p] * values[columns + p] for p in range(3))
+    out = np.take(values, columns)
+    out *= weights[..., 0]
+    for p in (1, 2):
+        term = np.take(values, columns + p)
+        term *= weights[..., p]
+        out += term
+    return out
 
 
 def _gram_band(
@@ -250,27 +260,42 @@ def build_tikhonov_problem(data, n_elements: int) -> TikhonovProblem:
     )
 
 
+def _selected(array: np.ndarray, members) -> np.ndarray:
+    """The rows of `array` for the given members: `array` itself when they are all."""
+    return array if len(members) == len(array) else array[members]
+
+
 def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
     """Banded Cholesky factor of T^T W T + alpha (K + P) for the given members.
 
-    `members` indexes the stack and `alphas` holds one alpha for each of
-    them.  Their bands are factored side by side: the factor is one upper
-    band, stored as the (len(members), n+1, 3) array whose memory is the
-    Fortran (3, len(members) (n+1)) band of LAPACK.
+    `members` lists distinct indices of the stack in increasing order, and
+    `alphas` holds one alpha for each of them.  Their bands are factored
+    side by side in LAPACK's lower layout, and the factor L comes back as
+    the upper band of U = L^T, bit for bit what dpbtrf gives in the upper
+    layout: the (len(members), n+1, 3) array whose memory is the Fortran
+    (3, len(members) (n+1)) band that `_apply_inverse` takes.
     """
     for alpha in alphas:
         if not 0 < alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     size = problem.n_elements + 1
-    # factored in place; C order makes it LAPACK's Fortran-ordered band
-    factor = np.multiply.outer(alphas, problem.penalty_band.T, order="C")
-    factor += problem.normal_band[members].transpose(0, 2, 1)
+    band = np.multiply.outer(alphas, problem.penalty_band)
+    band += _selected(problem.normal_band, members)
+    # factored in place; in C order the (k, n+1, 3) array is LAPACK's Fortran
+    # band, and row j of a member holds M[j, j], M[j+1, j] and M[j+2, j].  The
+    # entries past its last row would couple it to the next member: zeros.
+    lower = np.empty((len(alphas), size, 3))
+    lower[..., 0] = band[:, 2]
+    lower[:, :-1, 1] = band[:, 1, 1:]
+    lower[:, :-2, 2] = band[:, 0, 2:]
+    lower[:, -1, 1:] = 0.0
+    lower[:, -2, 2] = 0.0
     status = int64()
-    _dpbtrf(b"U", int64(factor.size // 3), int64(2), dptr(factor), int64(3), status, 1)
+    _dpbtrf(b"L", int64(lower.size // 3), int64(2), dptr(lower), int64(3), status, 1)
     info = status.value
     # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
     # overflowed shows only as a non-finite diagonal of the factor
-    finite = np.isfinite(factor[..., 2]).all(axis=1)
+    finite = np.isfinite(lower[..., 0]).all(axis=1)
     if info != 0 or not finite.all():
         k = (info - 1) // size if info > 0 else int(np.argmin(finite))
         raise NumericalError(
@@ -278,6 +303,10 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
             f"(size {size}, LAPACK info {info - k * size if info > 0 else info}); "
             "system not finite and positive definite"
         )
+    factor = np.zeros_like(lower)
+    factor[..., 2] = lower[..., 0]
+    factor[:, 1:, 1] = lower[:, :-1, 1]
+    factor[:, 2:, 0] = lower[:, :-2, 2]
     return factor
 
 
@@ -301,9 +330,9 @@ def _solve(
     residuals ||T d - y||_W as floats.
     """
     factor = _factor(problem, alphas, members)
-    d = _apply_inverse(factor, problem.normal_rhs[members])
-    first, weights = problem.t_rows
-    misfit = _apply((first[members], weights[members]), d) - problem.y_values[members]
+    d = _apply_inverse(factor, _selected(problem.normal_rhs, members))
+    rows = tuple(_selected(array, members) for array in problem.t_rows)
+    misfit = _apply(rows, d) - _selected(problem.y_values, members)
     return factor, d, quadrature_norm(misfit, problem.quad_weights).tolist()
 
 
@@ -464,8 +493,8 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5, alpha_s
             if not 0 < value < np.inf:
                 raise ValueError(f"alpha_start must be finite and > 0, got {value}")
     searches = [_Search(value, tau, start) for value, start in zip(deltas, starts)]
-    for value, search, y in zip(deltas, searches, problem.y_values):
-        data_norm = quadrature_norm(y, problem.quad_weights)
+    data_norms = quadrature_norm(problem.y_values, problem.quad_weights)
+    for value, search, data_norm in zip(deltas, searches, data_norms):
         if data_norm < search.target_lo:
             raise DataTooRoughError(
                 f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "

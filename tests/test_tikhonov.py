@@ -25,6 +25,7 @@ from difflaw import (
     solve_tikhonov,
     tikhonov_objective,
 )
+from difflaw._lapack import DOUBLES, INT, dptr, int64
 from difflaw._lapack import bind as _lapack
 from difflaw.tikhonov import (
     ALPHA_MIN,
@@ -250,6 +251,24 @@ def test_factor_solves_like_dense(n, count):
         dense = _dense(problem.normal_band[i] + alpha * problem.penalty_band)
         expected = np.linalg.solve(dense, rhs[i])
         assert np.linalg.norm(x[i] - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 37, 200])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("alpha", [1e-16, 1e-6, 1.0, 1e3])
+def test_factor_is_the_upper_layout_factor(n, count, alpha):
+    # the lower-layout factor, copied to the upper band, against dpbtrf('U')
+    # on the same stack bit for bit, the zeros between members included
+    data = [_data_on(reference_interval(), seed, m=500) for seed in range(count)]
+    problem = build_tikhonov_problem(data, n)
+    alphas = [alpha * 2.0**i for i in range(count)]
+    upper = np.multiply.outer(alphas, problem.penalty_band.T, order="C")
+    upper += problem.normal_band.transpose(0, 2, 1)
+    status = int64()
+    dpbtrf = _lapack("dpbtrf", INT, INT, DOUBLES, INT, INT)
+    dpbtrf(b"U", int64(upper.size // 3), int64(2), dptr(upper), int64(3), status, 1)
+    assert status.value == 0
+    assert np.array_equal(_factor(problem, alphas, np.arange(count)), upper)
 
 
 def test_factor_names_the_indefinite_member(exact_data):
