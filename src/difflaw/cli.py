@@ -167,12 +167,12 @@ def _cmd_study(args) -> int:
         n_spline=args.n,
         m_quad=args.m,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before any cell is solved
 
     records = run_study(config)
     if not records:
         raise NumericalError("every study cell failed")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # one median per column and noise level, shared by the table, the fits and the plot data
     medians = {column: median_by_delta(records, column) for column in COLUMNS}
     emit_csv(records, out / "records.csv")

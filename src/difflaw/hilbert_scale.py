@@ -20,11 +20,13 @@ absolute accuracy of order ||K|| * eps ~ 1e-5 on the smallest eigenvalues;
 the SVD route keeps lambda >= 1 exactly in floating point, since 1 plus a
 square is never below 1.
 
-S is (N-1) x N with three nonzeros per row, so S^T is a band with one sub-
-and one superdiagonal.  LAPACK dgbbrd reduces that band to bidiagonal form
-by plane rotations that chase the fill-in down the band, never forming a
-dense S, and accumulates them into an orthogonal Q; dbdsdc (Gu &
-Eisenstat's divide and conquer for the bidiagonal SVD) then finds the
+F is (N-1) x N with three nonzeros per row, and it is stored only as its
+(N-1, 3) band of stencil rows; divided by the mass roots of their columns,
+those rows are the band of S^T, with one sub- and one superdiagonal, in
+LAPACK's general band layout.  LAPACK dgbbrd reduces it to bidiagonal
+form by plane rotations that chase the fill-in down the band, never
+forming a dense F or S, and accumulates them into an orthogonal Q; dbdsdc
+(Gu & Eisenstat's divide and conquer for the bidiagonal SVD) then finds the
 singular values and vectors of the (N-1) x (N-1) bidiagonal.  Both steps are
 orthogonal transforms, like a dense SVD, so the accuracy stays in the same
 class at less cost.  The last column of Q spans the null space of S (the
@@ -37,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import DOUBLES, INT, bind, dptr, iptr, int64
 from .exceptions import NumericalError
@@ -70,13 +73,13 @@ class DiscreteScaleOperator:
 
     interval: StateInterval
     grid: np.ndarray               # (N+1,) nodes
-    stiffness_factor: np.ndarray   # (N-1, N) weighted second differences, K = F^T F
+    difference_band: np.ndarray    # (N-1, 3) stencil rows of the differences F, K = F^T F
     mass: np.ndarray               # (N,) diagonal of the lumped mass M, realizes (u, u)
     eigenvalues: np.ndarray        # (N,), ascending, all >= 1
     eigenvectors: np.ndarray       # (N+1, N), M-orthonormal, zero first row
 
     def __post_init__(self):
-        for name in ("grid", "stiffness_factor", "mass", "eigenvalues", "eigenvectors"):
+        for name in ("grid", "difference_band", "mass", "eigenvalues", "eigenvectors"):
             arr = np.asarray(getattr(self, name))
             arr = np.array(arr, copy=True)
             arr.flags.writeable = False
@@ -171,12 +174,10 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
 
     # interior second differences on the constrained unknowns u_1..u_N
     # (u_0 = 0 is eliminated; its column is dropped), weighted by the
-    # square root of the quadrature weight dx
-    rows = np.arange(n - 1)
-    factor = np.zeros((n - 1, n))
-    factor[rows[1:], rows[1:] - 1] = np.sqrt(dx) * (1.0 / dx**2)
-    factor[rows, rows] = np.sqrt(dx) * (-2.0 / dx**2)
-    factor[rows, rows + 1] = np.sqrt(dx) * (1.0 / dx**2)
+    # square root of the quadrature weight dx: row j is the stencil
+    # (F[j, j-1], F[j, j], F[j, j+1]), and F[0, -1], which would act on u_0, is 0
+    band = np.tile(np.sqrt(dx) * (np.array([1.0, -2.0, 1.0]) / dx**2), (n - 1, 1))
+    band[0, 0] = 0.0
 
     # trapezoid-lumped mass on u_1..u_N (u_0 excluded)
     mass_diag = np.full(n, dx)
@@ -184,17 +185,20 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
 
     # eigenpairs of (K + M) v = lambda M v via the SVD of S = F M^{-1/2}:
     # lambda = 1 + sigma^2 >= 1 exactly, v = M^{-1/2} q is M-orthonormal.
-    sigma, q = _right_singular_pairs(factor, np.sqrt(mass_diag))
+    # Entry (j, k) of the band sits in column j + k - 1 of F, whose mass
+    # root divides it; F[0, -1] = 0 gets 1.
+    root = np.sqrt(mass_diag)
+    sigma, q = _right_singular_pairs(band / sliding_window_view(np.append(1.0, root), 3))
     eigenvalues = 1.0 + sigma**2
     order = np.argsort(eigenvalues)
     eigenvalues = eigenvalues[order]
-    vectors = (q / np.sqrt(mass_diag)[:, None])[:, order]
+    vectors = (q / root[:, None])[:, order]
     eigenvectors = np.vstack([np.zeros(n), vectors])
 
     op = DiscreteScaleOperator(
         interval=interval,
         grid=grid,
-        stiffness_factor=factor,
+        difference_band=band,
         mass=mass_diag,
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -203,25 +207,18 @@ def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScal
     return op
 
 
-def _right_singular_pairs(factor: np.ndarray, mass_root: np.ndarray):
-    """N singular values and right singular vectors of S = F diag(1 / mass_root).
+def _right_singular_pairs(band: np.ndarray):
+    """N singular values and right singular vectors of S = F M^{-1/2}.
 
-    S is (N-1, N) with three nonzeros per row, so S^T is an N x (N-1) band
-    with one sub- and one superdiagonal.  dgbbrd reduces it to S^T = Q B P^T
-    with B upper bidiagonal, and dbdsdc finds B = U_B Sigma V_B^T.  The right
-    singular vectors of S are then Q[:, :N-1] U_B, for the N-1 values in
-    descending order, and last Q[:, N-1], which spans the null space of S
-    and gets the value 0.
+    `band` holds the rows (S[j, j-1], S[j, j], S[j, j+1]) of the (N-1, N)
+    matrix S, with S[0, -1] = 0: in C order, the Fortran band of S^T in
+    LAPACK's general layout, which dgbbrd overwrites.  dgbbrd reduces it to
+    S^T = Q B P^T with B upper bidiagonal, and dbdsdc finds B = U_B Sigma
+    V_B^T.  The right singular vectors of S are then Q[:, :N-1] U_B, for the
+    N-1 values in descending order, and last Q[:, N-1], which spans the
+    null space of S and gets the value 0.
     """
-    rows, n = factor.shape
-    j = np.arange(rows)
-    # S^T in LAPACK's general band layout: column j of S^T is row j of S,
-    # stored as (super, diagonal, sub) = (S[j, j-1], S[j, j], S[j, j+1]);
-    # C order makes the (N-1, 3) array LAPACK's Fortran (3, N-1) band
-    band = np.zeros((rows, 3))
-    band[1:, 0] = factor[j[1:], j[1:] - 1] / mass_root[:-2]
-    band[:, 1] = factor[j, j] / mass_root[:-1]
-    band[:, 2] = factor[j, j + 1] / mass_root[1:]
+    rows, n = len(band), len(band) + 1
     d, e = np.empty(rows), np.empty(rows)
     q = np.empty((n, n))  # Fortran Q, so its C-order rows are the columns of Q
     # placeholders for the arrays neither routine references here

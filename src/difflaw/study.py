@@ -68,17 +68,21 @@ def _parse_alpha_rule(rule: str) -> tuple[str, float]:
     """Split 'name[:param]' into (name, param) with rule-specific defaults."""
     name, _, param = rule.partition(":")
     name = name.strip().replace("-", "_")
+    try:
+        value = float(param) if param else None
+    except ValueError:  # not a number: the rule's range check below names the rule
+        value = np.nan
     if name == "quadratic":
         if param:
             raise ValueError("the quadratic rule takes no parameter")
         return "quadratic", 0.0
     if name == "eight_fifths":
-        coeff = float(param) if param else 0.1
+        coeff = 0.1 if value is None else value
         if not 0 < coeff < np.inf:
             raise ValueError(f"alpha rule {rule!r}: coefficient must be finite and > 0")
         return "eight_fifths", coeff
     if name == "discrepancy":
-        tau = float(param) if param else 1.5
+        tau = 1.5 if value is None else value
         if not 1 < tau < np.inf:
             raise ValueError(f"alpha rule {rule!r}: tau must be finite and > 1")
         return "discrepancy", tau

@@ -14,12 +14,13 @@ basis that `difflaw.splines` owns; this module does the band and row
 algebra on its rows.  Every row of T and of the penalties has three
 nonzeros, so the normal matrix T^T W T + alpha (K + P) is a symmetric
 positive definite band of half-width 2, factored by one banded Cholesky
-(LAPACK dpbtrf) per alpha.  dpbtrf gets the lower band, whose rank-one
-update at each column runs on unit-stride vectors, and the factor is copied
-into the upper band that the solves (dpbtrs) take; the upper layout gives
-the same factor bit for bit, only slower.  LAPACK is numpy's own: the
-OpenBLAS that numpy's wheels bundle as scipy-openblas64, called through
-ctypes with 64-bit integers.
+(LAPACK dpbtrf) per alpha and solved with that factor (dpbtrs).  Every band
+is stored once, in LAPACK's lower layout: the C-order (..., n+1, 3) array
+whose row j holds M[j, j], M[j+1, j] and M[j+2, j], which is the Fortran
+(3, n+1) band both routines take with uplo = 'L'; there, the rank-one
+update at each column of dpbtrf runs on unit-stride vectors.  LAPACK is
+numpy's own: the OpenBLAS that numpy's wheels bundle as scipy-openblas64,
+called through ctypes with 64-bit integers.
 
 The penalty K + P depends on the grid alone, so its band is assembled once
 per (interval, n_elements), kept in a small memo and shared, read-only, by
@@ -37,14 +38,13 @@ A problem is a stack of S members, one per data set; the data sets share
 the interval and the quadrature, and a single `TraceData` is a stack of
 one.  Every array but the penalty band has a leading stack axis, and each
 member is solved with its own alpha (or delta).  The members' bands are
-laid side by side in one (3, S (n+1)) LAPACK band: the entries that would
-couple two blocks are the last sub-diagonal entries of each member in the
-lower layout, and the first super-diagonal entries in the upper one, all
-written as zeros, so one dpbtrf and one dpbtrs call factor and solve every
-member, each bit for bit as it would be alone.  A stack returns a tuple of
-results in stack order.  Also provided: the two a-priori parameter-choice
-rules and the naive differentiation reconstruction that serves as the
-instability baseline.
+laid end to end in one (S, n+1, 3) array, LAPACK's (3, S (n+1)) band: the
+entries that would couple two blocks are the ones past each member's last
+row, M[n+1, n], M[n+2, n] and M[n+1, n-1], all zeros, so one dpbtrf and one
+dpbtrs call factor and solve every member, each bit for bit as it would be
+alone.  A stack returns a tuple of results in stack order.  Also provided:
+the two a-priori parameter-choice rules and the naive differentiation
+reconstruction that serves as the instability baseline.
 """
 
 from __future__ import annotations
@@ -117,25 +117,28 @@ def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
 def _gram_band(
     rows: tuple[np.ndarray, np.ndarray], row_weights: np.ndarray, size: int
 ) -> np.ndarray:
-    """Upper band of sum_i w_i r_i r_i^T in LAPACK `dpbtrf` layout, (..., 3, size)."""
+    """Lower band of sum_i w_i r_i r_i^T in LAPACK `dpbtrf` layout, (..., size, 3).
+
+    No row reaches past column size - 1, so the entries past the last row are zeros.
+    """
     first, weights = rows
     stack = first.shape[:-1]
     columns = _columns(first, size + 2).ravel()
-    band = np.zeros((3, int(np.prod(stack)) * (size + 2)))
+    band = np.zeros((int(np.prod(stack)) * (size + 2), 3))
     for p in range(3):
         weighted = row_weights * weights[..., p]
         for q in range(p, 3):
             products = (weighted * weights[..., q]).ravel()
-            band[2 + p - q] += np.bincount(columns + q, products, minlength=band.shape[1])
-    return np.moveaxis(band.reshape((3, *stack, size + 2)), 0, -2)[..., :size]
+            band[:, q - p] += np.bincount(columns + p, products, minlength=len(band))
+    return band.reshape((*stack, size + 2, 3))[..., :size, :]
 
 
 def _band_apply(band: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M d for the symmetric M whose upper band is `band`, member by member."""
-    out = band[2] * d
+    """M d for the symmetric M whose lower band is `band`, member by member."""
+    out = band[..., 0] * d
     for k in (1, 2):
-        out[..., :-k] += band[2 - k, k:] * d[..., k:]
-        out[..., k:] += band[2 - k, k:] * d[..., :-k]
+        out[..., :-k] += band[..., :-k, k] * d[..., k:]
+        out[..., k:] += band[..., :-k, k] * d[..., :-k]
     return out
 
 
@@ -153,8 +156,8 @@ class TikhonovProblem:
     data: TraceData | tuple    # one data set, or the stack's S data sets
     n_elements: int
     t_rows: tuple              # (first column (S, m), weights (S, m, 3)) of T in d
-    normal_band: np.ndarray    # (S, 3, n+1) upper bands of T^T W T
-    penalty_band: np.ndarray   # (3, n+1) upper band of K + P, shared per grid
+    normal_band: np.ndarray    # (S, n+1, 3) lower bands of T^T W T
+    penalty_band: np.ndarray   # (n+1, 3) lower band of K + P, shared per grid
     normal_rhs: np.ndarray     # (S, n+1) T^T W y
     y_values: np.ndarray       # (S, m) data of the members
 
@@ -187,7 +190,7 @@ class ReconstructionResult:
 
 @functools.lru_cache(maxsize=8)
 def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
-    """Read-only upper band of K + P on the n-element grid, (3, n+1)."""
+    """Read-only lower band of K + P on the n-element grid, (n+1, 3)."""
     points, gauss_weights = _element_gauss_rule(interval, n)
     dx = interval.length / n
     # K: (a_{k+1} - a_k)^2 / dx = (d_{k+1} - 2 d_k + d_{k-1})^2 / dx^3
@@ -269,11 +272,9 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
     """Banded Cholesky factor of T^T W T + alpha (K + P) for the given members.
 
     `members` lists distinct indices of the stack in increasing order, and
-    `alphas` holds one alpha for each of them.  Their bands are factored
-    side by side in LAPACK's lower layout, and the factor L comes back as
-    the upper band of U = L^T, bit for bit what dpbtrf gives in the upper
-    layout: the (len(members), n+1, 3) array whose memory is the Fortran
-    (3, len(members) (n+1)) band that `_apply_inverse` takes.
+    `alphas` holds one alpha for each of them.  Their lower bands are formed
+    side by side in one (len(members), n+1, 3) array, which dpbtrf factors
+    in place; returns that array, holding L.
     """
     for alpha in alphas:
         if not 0 < alpha < np.inf:
@@ -281,21 +282,12 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
     size = problem.n_elements + 1
     band = np.multiply.outer(alphas, problem.penalty_band)
     band += _selected(problem.normal_band, members)
-    # factored in place; in C order the (k, n+1, 3) array is LAPACK's Fortran
-    # band, and row j of a member holds M[j, j], M[j+1, j] and M[j+2, j].  The
-    # entries past its last row would couple it to the next member: zeros.
-    lower = np.empty((len(alphas), size, 3))
-    lower[..., 0] = band[:, 2]
-    lower[:, :-1, 1] = band[:, 1, 1:]
-    lower[:, :-2, 2] = band[:, 0, 2:]
-    lower[:, -1, 1:] = 0.0
-    lower[:, -2, 2] = 0.0
     status = int64()
-    _dpbtrf(b"L", int64(lower.size // 3), int64(2), dptr(lower), int64(3), status, 1)
+    _dpbtrf(b"L", int64(band.size // 3), int64(2), dptr(band), int64(3), status, 1)
     info = status.value
     # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
     # overflowed shows only as a non-finite diagonal of the factor
-    finite = np.isfinite(lower[..., 0]).all(axis=1)
+    finite = np.isfinite(band[..., 0]).all(axis=1)
     if info != 0 or not finite.all():
         k = (info - 1) // size if info > 0 else int(np.argmin(finite))
         raise NumericalError(
@@ -303,11 +295,7 @@ def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
             f"(size {size}, LAPACK info {info - k * size if info > 0 else info}); "
             "system not finite and positive definite"
         )
-    factor = np.zeros_like(lower)
-    factor[..., 2] = lower[..., 0]
-    factor[:, 1:, 1] = lower[:, :-1, 1]
-    factor[:, 2:, 0] = lower[:, :-2, 2]
-    return factor
+    return band
 
 
 def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -317,7 +305,7 @@ def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"right-hand sides {x.shape} do not fit the factor {factor.shape}")
     # the status is not read: dpbtrs fails only on an illegal argument
     n = int64(x.size)
-    _dpbtrs(b"U", n, int64(2), int64(1), dptr(factor), int64(3), dptr(x), n, int64(), 1)
+    _dpbtrs(b"L", n, int64(2), int64(1), dptr(factor), int64(3), dptr(x), n, int64(), 1)
     return x
 
 

@@ -44,3 +44,14 @@ def median_of(records, delta, column):
     values = [getattr(r, column) for r in records if r.delta == delta]
     assert values, f"no records at delta={delta}"
     return float(np.median(values))
+
+
+def dense_difference(op):
+    """The (N-1, N) weighted second differences F whose band the scale operator stores."""
+    band = op.difference_band
+    rows = np.arange(len(band))
+    factor = np.zeros((rows.size, rows.size + 1))
+    factor[rows[1:], rows[1:] - 1] = band[1:, 0]
+    factor[rows, rows] = band[:, 1]
+    factor[rows, rows + 1] = band[:, 2]
+    return factor

@@ -11,7 +11,7 @@ import numpy as np
 import difflaw as dl
 from difflaw import checks
 
-from conftest import median_of
+from conftest import dense_difference, median_of
 
 TABLE_ERR0 = {1e-2: 0.036672, 1e-3: 0.008765, 1e-4: 0.002147}
 
@@ -110,7 +110,8 @@ def test_criterion_6_hilbert_scale_suite():
     criterion = "criterion 6 (discrete Hilbert-scale spectral suite)"
     op = dl.build_scale_operator(dl.reference_interval(), 400)
     suite = _measure(criterion, checks.check_scale_operator, op=op, n_samples=500, seed=55)
-    k = op.stiffness_factor.T @ op.stiffness_factor
+    factor = dense_difference(op)
+    k = factor.T @ factor
     sym_defect = np.max(np.abs(k - k.T)) / np.max(np.abs(k))
     detail = (
         f"symmetry defect {sym_defect:.1e}, lambda_min {suite['lam_min']!r}, "

@@ -90,7 +90,7 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     # a bad rule parameter fails before any cell is solved
     capsys.readouterr()
     for rule in ["eight-fifths:-1", "eight-fifths:0", "eight-fifths:nan", "discrepancy:nan",
-                 "discrepancy:inf"]:
+                 "discrepancy:inf", "eight-fifths:abc", "discrepancy:x"]:
         assert main(["study", "--alpha-rule", rule, "--out", str(tmp_path / "r")]) == 1
         assert f"alpha rule {rule!r}" in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
@@ -134,7 +134,12 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_io_failure_exits_3(tmp_path, capsys):
+def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # an output directory that cannot be made fails before any cell is solved
+    def no_study(config):
+        raise AssertionError("run_study called before --out was created")
+
+    monkeypatch.setattr(difflaw.cli, "run_study", no_study)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     code = main(

@@ -9,6 +9,8 @@ from difflaw import (
     reference_interval,
 )
 
+from conftest import dense_difference
+
 
 @pytest.fixture(scope="module")
 def op400():
@@ -17,7 +19,8 @@ def op400():
 
 def _stiffness(op):
     """The assembled stiffness matrix K = F^T F."""
-    return op.stiffness_factor.T @ op.stiffness_factor
+    factor = dense_difference(op)
+    return factor.T @ factor
 
 
 def _random_constrained(op, rng):
@@ -27,6 +30,7 @@ def _random_constrained(op, rng):
 
 
 def test_construction_invariants(op400):
+    assert op400.difference_band.shape == (399, 3) and op400.difference_band[0, 0] == 0.0
     k = _stiffness(op400)
     assert np.max(np.abs(k - k.T)) <= 1e-14 * np.max(np.abs(k))
     m = op400.mass
@@ -69,7 +73,7 @@ def test_linear_function_rayleigh_quotient(op400):
     # u(x) = x - u_min has vanishing interior second differences, so its
     # stiffness energy ||F u||^2 is exactly zero and the Rayleigh quotient is 1
     u = op400.grid - op400.grid[0]
-    energy = np.sum((op400.stiffness_factor @ u[1:]) ** 2)
+    energy = np.sum((dense_difference(op400) @ u[1:]) ** 2)
     quotient = 1.0 + energy / (u[1:] @ (op400.mass * u[1:]))
     assert 1.0 <= quotient <= 1.0 + 1e-8
     # the factored form and the assembled matrix agree up to assembly rounding

@@ -25,6 +25,8 @@ from difflaw import (
 from difflaw.splines import _antiderivative
 from difflaw.tikhonov import ALPHA_MIN, DISCREPANCY_TOL
 
+from conftest import dense_difference
+
 intervals = st.builds(
     lambda lo, length: StateInterval(lo, lo + length),
     st.floats(-10.0, 10.0),
@@ -229,7 +231,7 @@ def test_scale_operator_matches_dense_svd(interval, n):
     # the eigenvalues are simple, so each eigenvector is fixed up to sign
     op = build_scale_operator(interval, n)
     root = np.sqrt(op.mass)
-    _, sigma, vt = np.linalg.svd(op.stiffness_factor / root, full_matrices=True)
+    _, sigma, vt = np.linalg.svd(dense_difference(op) / root, full_matrices=True)
     lam = 1.0 + np.append(sigma**2, 0.0)
     order = np.argsort(lam)
     oracle = (vt.T / root[:, None])[:, order]

@@ -40,7 +40,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(alpha_rule="cubic")
     for rule in ["discrepancy:0.5", "discrepancy:1", "discrepancy:nan", "discrepancy:inf",
-                 "eight-fifths:-1", "eight-fifths:0", "eight-fifths:nan", "eight-fifths:inf"]:
+                 "eight-fifths:-1", "eight-fifths:0", "eight-fifths:nan", "eight-fifths:inf",
+                 "eight-fifths:abc", "discrepancy:x"]:
         with pytest.raises(ValueError, match="alpha rule"):
             StudyConfig(alpha_rule=rule)
     StudyConfig(alpha_rule="eight-fifths:0.05")  # hyphens accepted

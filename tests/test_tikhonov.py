@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from difflaw import (
     DataTooRoughError,
@@ -107,7 +109,7 @@ def test_penalty_band_shared_per_grid():
     assert build_tikhonov_problem(_data_on(interval, 2), 50).penalty_band is band
     finer = build_tikhonov_problem(_data_on(interval, 1), 51).penalty_band
     unit = build_tikhonov_problem(_data_on(StateInterval(0.0, 1.0), 1), 50).penalty_band
-    assert finer.shape == (3, 52)
+    assert finer.shape == (52, 3)
     assert unit.shape == band.shape and not np.array_equal(unit, band)
 
 
@@ -218,19 +220,22 @@ def test_stack_needs_one_grid(exact_data):
         with pytest.raises(ValueError, match="TraceData"):
             build_tikhonov_problem(bad, 50)
     stack = build_tikhonov_problem([exact_data, exact_data], 50)
-    assert stack.normal_band.shape == (2, 3, 51) and stack.t_rows[1].shape == (2, 500, 3)
+    assert stack.normal_band.shape == (2, 51, 3) and stack.t_rows[1].shape == (2, 500, 3)
     with pytest.raises(ValueError, match="one value per member"):
         solve_tikhonov(stack, [1e-6, 1e-6, 1e-6])
     with pytest.raises(ValueError, match="one data set"):
         tikhonov_objective(stack, np.zeros(51), 1e-6)
 
 
+def _lower(band):
+    """The lower triangle whose band, in `dpbtrf` lower layout, is `band`."""
+    return sum(np.diag(band[: len(band) - k, k], -k) for k in range(3))
+
+
 def _dense(band):
-    """The symmetric matrix whose upper band, in `dpbtrf` layout, is `band`."""
-    dense = np.diag(band[2])
-    for k in (1, 2):
-        dense = dense + np.diag(band[2 - k, k:], k) + np.diag(band[2 - k, k:], -k)
-    return dense
+    """The symmetric matrix whose lower band, in `dpbtrf` layout, is `band`."""
+    lower = _lower(band)
+    return lower + np.tril(lower, -1).T
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 200])
@@ -253,29 +258,70 @@ def test_factor_solves_like_dense(n, count):
         assert np.linalg.norm(x[i] - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 300),
+    extra=st.integers(0, 300),
+    log_alphas=st.lists(st.floats(-12.0, 3.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_factor_and_solve_are_backward_stable(n, extra, log_alphas, seed):
+    # band Cholesky of half-width 2: each entry of L L^T is a sum of at most
+    # three products, so |L L^T - M| <= gamma_3 |L| |L^T|, whose entries are
+    # at most sqrt(M_ii M_jj) <= ||M||; over five nonzeros per row that is
+    # 7.5 eps ||M|| in the infinity norm, and 16 eps leaves room for the
+    # rounding of the check itself and for the two triangular solves
+    count = len(log_alphas)
+    data = [_data_on(reference_interval(), seed + i, m=2 * (n + 1) + extra) for i in range(count)]
+    problem = build_tikhonov_problem(data, n)
+    alphas = [10.0**e for e in log_alphas]
+    rhs = np.random.default_rng(seed).normal(size=(count, n + 1))
+    factor = _factor(problem, alphas, np.arange(count))
+    x = _apply_inverse(factor, rhs)
+    eps = np.finfo(float).eps
+    for band in (problem.normal_band, problem.penalty_band, factor):
+        # past each member's last row: M[n+1, n], M[n+2, n] and M[n+1, n-1]
+        assert np.all(band[..., -1, 1:] == 0.0) and np.all(band[..., -2, 2] == 0.0)
+    for i, alpha in enumerate(alphas):
+        matrix = _dense(problem.normal_band[i] + alpha * problem.penalty_band)
+        size = np.linalg.norm(matrix, np.inf)
+        lower = _lower(factor[i])
+        assert np.linalg.norm(lower @ lower.T - matrix, np.inf) <= 16 * eps * size
+        residual = np.linalg.norm(matrix @ x[i] - rhs[i], np.inf)
+        assert residual <= 16 * eps * size * np.linalg.norm(x[i], np.inf)
+
+
+def _upper(lower):
+    """The same band in `dpbtrf` upper layout: row j holds M[j-2, j], M[j-1, j], M[j, j]."""
+    upper = np.zeros_like(lower)
+    upper[..., 2] = lower[..., 0]
+    upper[..., 1:, 1] = lower[..., :-1, 1]
+    upper[..., 2:, 0] = lower[..., :-2, 2]
+    return upper
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 37, 200])
 @pytest.mark.parametrize("count", [1, 3])
 @pytest.mark.parametrize("alpha", [1e-16, 1e-6, 1.0, 1e3])
 def test_factor_is_the_upper_layout_factor(n, count, alpha):
-    # the lower-layout factor, copied to the upper band, against dpbtrf('U')
-    # on the same stack bit for bit, the zeros between members included
+    # L, read as the upper band of U = L^T, against dpbtrf('U') on the same
+    # stack, bit for bit: LAPACK's two layouts give one factor
     data = [_data_on(reference_interval(), seed, m=500) for seed in range(count)]
     problem = build_tikhonov_problem(data, n)
     alphas = [alpha * 2.0**i for i in range(count)]
-    upper = np.multiply.outer(alphas, problem.penalty_band.T, order="C")
-    upper += problem.normal_band.transpose(0, 2, 1)
+    upper = _upper(np.multiply.outer(alphas, problem.penalty_band) + problem.normal_band)
     status = int64()
     dpbtrf = _lapack("dpbtrf", INT, INT, DOUBLES, INT, INT)
     dpbtrf(b"U", int64(upper.size // 3), int64(2), dptr(upper), int64(3), status, 1)
     assert status.value == 0
-    assert np.array_equal(_factor(problem, alphas, np.arange(count)), upper)
+    assert np.array_equal(_upper(_factor(problem, alphas, np.arange(count))), upper)
 
 
 def test_factor_names_the_indefinite_member(exact_data):
     # LAPACK's info, read back as a 64-bit integer, locates the failing pivot
     problem = build_tikhonov_problem([exact_data] * 3, 20)
     normal_band = problem.normal_band.copy()
-    normal_band[1, 2, 5] = -1e6
+    normal_band[1, 5, 0] = -1e6
     indefinite = replace(problem, normal_band=normal_band)
     with pytest.raises(NumericalError, match=r"alpha=0\.2 \(size 21, LAPACK info 6\)"):
         _factor(indefinite, [0.1, 0.2, 0.3], np.arange(3))
