@@ -36,6 +36,7 @@ from .reference import (
 )
 from .splines import ParameterSpline, _antiderivative, _norms, antiderivative_l2_norm
 from .tikhonov import (
+    _band_apply,
     build_tikhonov_problem,
     naive_reconstruction,
     solve_tikhonov,
@@ -196,32 +197,32 @@ def check_perturbation_stability(n_functions=10, deltas=(1e-2, 1e-5), seed=4):
 
 
 def check_scale_operator(op, n_samples=50, seed=5):
-    """Spectral invariants of the discrete fourth-order operator `op`.
+    """Spectral invariants of the scale operator `op` of the solver's penalty.
 
-    Each sample draws a constrained vector u, then levels r < t (redrawing
+    Each sample draws a coefficient vector d, then levels r < t (redrawing
     both when t - r < 1e-3), then s in [r, t], and checks the interpolation
-    inequality at (r, s, t) and the L2 identity of the index -1 norm.
+    inequality at (r, s, t) and that the index -1 norm is the L2 norm
+    sqrt(d^T P d) of the antiderivative.
     """
     lam_min = float(op.eigenvalues[0])
     _require(lam_min >= 1.0 - 1e-10, f"lambda_min={lam_min!r}")
     rng = np.random.default_rng(seed)
-    u = np.zeros((n_samples, op.n_points))
+    d = np.empty((n_samples, op.eigenvalues.size))
     levels = np.empty((3, n_samples))  # r, s, t per sample
     checked = 0
     while checked < n_samples:
-        u[checked, 1:] = rng.normal(size=op.n_points - 1)
+        d[checked] = rng.normal(size=op.eigenvalues.size)
         r, t = np.sort(rng.uniform(-2.0, 3.0, 2))
         if t - r < 1e-3:
             continue
         levels[:, checked] = r, rng.uniform(r, t), t
         checked += 1
     r, s, t = levels
-    rhs = op.x_norm(u, r) ** ((t - s) / (t - r)) * op.x_norm(u, t) ** ((s - r) / (t - r))
-    margins = op.interpolation_margin(u, r, s, t) / rhs
+    rhs = op.x_norm(d, r) ** ((t - s) / (t - r)) * op.x_norm(d, t) ** ((s - r) / (t - r))
+    margins = op.interpolation_margin(d, r, s, t) / rhs
     worst_margin = float(np.min(margins))
-    m_norm = np.sqrt(np.sum(u[:, 1:] * (op.mass * u[:, 1:]), axis=-1))
-    l2_defects = np.abs(op.scale_norm(u, -1.0) - m_norm) / m_norm
-    worst_l2 = float(np.max(l2_defects))
+    l2 = np.sqrt(np.vecdot(d, _band_apply(op.mass_band, d)))
+    worst_l2 = float(np.max(np.abs(op.scale_norm(d, -1.0) - l2) / l2))
     _require(worst_margin >= -1e-10, f"interpolation margin/RHS {worst_margin:.2e}")
     _require(worst_l2 <= 1e-12, f"|scale_norm(-1) - L2|/L2 = {worst_l2:.2e}")
     return CheckResult(

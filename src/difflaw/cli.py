@@ -179,6 +179,9 @@ def _cmd_study(args) -> int:
     emit_plot_data(records, out / "study", RATE_LINES[config.rule[0]], medians=medians)
 
     print(f"wrote {out / 'records.csv'} ({len(records)} records)")
+    cells = len(config.delta_list) * config.trials
+    if len(records) < cells:  # each failed cell also warned on stderr
+        print(f"{cells - len(records)} of {cells} cells failed")
     print("delta        median err0   median err1   median residual")
     err0, err1, residual = (medians[column] for column in COLUMNS)
     for d in err0:

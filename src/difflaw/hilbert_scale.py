@@ -1,110 +1,97 @@
-"""Finite-dimensional realization of the scale-generating operator.
+"""The Hilbert scale that the Tikhonov penalty generates, on the solver's grid.
 
-The fourth-order operator A -> A'''' + A, restricted by the essential
-condition u(u_min) = 0, is realized through its quadratic form
-(u'', u'') + (u, u) with second differences: the stiffness part is the Gram
-matrix K = D2^T W D2 of the interior 3-point stencil, so symmetry and
-positive semi-definiteness hold by construction, and the free-end
-conditions are natural (no constraint rows).  The generalized eigenproblem
+The solver penalizes ||A''||^2 + ||A||^2 = d^T (K + P) d in the B-spline
+coefficients d of the antiderivative A (see `difflaw.tikhonov`); P is the
+exact L2 Gram matrix of A, so d^T P d = ||A||^2.  The generalized
+eigenproblem
 
-    (K + M) v = lambda M v,   v M-orthonormal,
+    (K + P) v = lambda P v,   v P-orthonormal,
 
-defines the discrete scale: fractional powers act as lambda^(t/4) on the
-eigen-coefficients, and the shifted-scale norm of index s weights them by
-lambda^((s+1)/2).
+defines the discrete scale on the same vectors d: fractional powers act as
+lambda^(t/4) on the eigen-coefficients c = V^T P d, and the shifted-scale
+norm of index s weights them by lambda^((s+1)/2).  Index -1 is therefore
+the exact L2 norm of A, and the square of index 1 the penalty
+||A''||^2 + ||A||^2.  A(u_min) = 0 is built into the basis, so every d is
+admissible.
 
-The eigenpairs are computed from the singular value decomposition of the
-scaled difference factor S = F M^{-1/2} (with K = F^T F), giving
-lambda = 1 + sigma^2.  A generalized symmetric eigensolver would lose
-absolute accuracy of order ||K|| * eps ~ 1e-5 on the smallest eigenvalues;
-the SVD route keeps lambda >= 1 exactly in floating point, since 1 plus a
-square is never below 1.
+Both matrices are bands of half-width 2 built from the solver's own rows:
+K + P is the solver's band, and P is the Gram band of its P rows.  One
+LAPACK dsbgvd call (a split Cholesky reduction of the banded pencil to
+tridiagonal form, then divide and conquer) gives the P-orthonormal
+eigenvectors without forming a dense matrix.  Its eigenvalues carry an
+absolute error of order eps ||K|| / ||P||, which puts lambda_min at
+1 - 5e-6 for n = 200.  Each eigenvalue is therefore recomputed as the
+Rayleigh quotient of its vector,
 
-F is (N-1) x N with three nonzeros per row, and it is stored only as its
-(N-1, 3) band of stencil rows; divided by the mass roots of their columns,
-those rows are the band of S^T, with one sub- and one superdiagonal, in
-LAPACK's general band layout.  LAPACK dgbbrd reduces it to bidiagonal
-form by plane rotations that chase the fill-in down the band, never
-forming a dense F or S, and accumulates them into an orthogonal Q; dbdsdc
-(Gu & Eisenstat's divide and conquer for the bidiagonal SVD) then finds the
-singular values and vectors of the (N-1) x (N-1) bidiagonal.  Both steps are
-orthogonal transforms, like a dense SVD, so the accuracy stays in the same
-class at less cost.  The last column of Q spans the null space of S (the
-linear functions), so its sigma is 0 and lambda_min is exactly 1.  Both
-routines come from numpy's bundled OpenBLAS (see `_lapack`).
+    lambda = 1 + ||F v||^2 / (v^T P v),   K = F^T F,
+
+where ||F v||^2 = v^T K v sums the weighted squares of the K rows' products
+with v, and v^T P v, close to 1, is read off the Gram matrix V^T P V that
+the build checks anyway.  A sum of squares is never negative, so
+lambda >= 1 holds exactly in floating point, and an error e in the vector
+moves the quotient by O(lambda_max e^2) only.  That is below 1e-10 of every
+eigenvalue up to n = 400 but the bottom one, whose vector spans the linear
+A (A'' = 0, the null space of K) and whose value is 1 exactly: there the
+weight lambda_max, 7e21 on an interval of length 1e-3, lifts the quotient
+of dsbgvd's vector to 1 + 6e-4, so the bottom eigenvalue is set to 1.
+dsbgvd comes from numpy's bundled OpenBLAS (see `_lapack`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._lapack import DOUBLES, INT, bind, dptr, iptr, int64
 from .exceptions import NumericalError
-from .splines import StateInterval
+from .splines import StateInterval, _apply_rows
+from .tikhonov import _band_apply, _gram_band, _penalty_band, _penalty_rows
 
 __all__ = ["DiscreteScaleOperator", "build_scale_operator"]
 
-# (vect, m, n, ncc, kl, ku, ab, ldab, d, e, q, ldq, pt, ldpt, c, ldc, work, info)
-_dgbbrd = bind(
-    "dgbbrd", INT, INT, INT, INT, INT, DOUBLES, INT, DOUBLES, DOUBLES, DOUBLES, INT,
-    DOUBLES, INT, DOUBLES, INT, DOUBLES, INT,
-)
-# (uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq, work, iwork, info)
-_dbdsdc = bind(
-    "dbdsdc", INT, DOUBLES, DOUBLES, DOUBLES, INT, DOUBLES, INT, DOUBLES, INT, DOUBLES,
-    INT, INT, chars=2,
+# (jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz, work, lwork, iwork, liwork, info)
+_dsbgvd = bind(
+    "dsbgvd", INT, INT, INT, DOUBLES, INT, DOUBLES, INT, DOUBLES, DOUBLES, INT, DOUBLES,
+    INT, INT, INT, INT, chars=2,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteScaleOperator:
-    """Discrete scale operator on a uniform grid of N+1 points.
+    """Discrete scale operator on the solver's n-element grid.
 
-    Vectors passed to the methods live on the full grid (length N+1) and
-    must vanish at the first node (the essential constraint); `scale_norm`,
-    `x_norm` and `interpolation_margin` also take a stack of them, one per
-    row, and evaluate it in one pass.  The stored arrays act on the
-    constrained unknowns at nodes 1..N; eigenvector columns are padded back
-    to the full grid.
+    Vectors are the solver's unknowns: the n + 1 B-spline coefficients d of
+    an antiderivative A.  `scale_norm`, `x_norm` and `interpolation_margin`
+    also take a stack of them, one per row, and evaluate it in one pass.
     """
 
     interval: StateInterval
-    grid: np.ndarray               # (N+1,) nodes
-    difference_band: np.ndarray    # (N-1, 3) stencil rows of the differences F, K = F^T F
-    mass: np.ndarray               # (N,) diagonal of the lumped mass M, realizes (u, u)
-    eigenvalues: np.ndarray        # (N,), ascending, all >= 1
-    eigenvectors: np.ndarray       # (N+1, N), M-orthonormal, zero first row
+    n_elements: int
+    mass_band: np.ndarray          # (n+1, 3) lower band of P, d^T P d = ||A||^2
+    eigenvalues: np.ndarray        # (n+1,), ascending, all >= 1
+    eigenvectors: np.ndarray       # (n+1, n+1), P-orthonormal columns
 
     def __post_init__(self):
-        for name in ("grid", "difference_band", "mass", "eigenvalues", "eigenvectors"):
-            arr = np.asarray(getattr(self, name))
-            arr = np.array(arr, copy=True)
+        for name in ("mass_band", "eigenvalues", "eigenvectors"):
+            arr = np.array(getattr(self, name), copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_points(self) -> int:
-        return self.grid.size
+    def _coefficients(self, d: np.ndarray) -> np.ndarray:
+        """Eigen-coefficients c_k = v_k^T P d, one row per vector.
 
-    def _coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Eigen-coefficients c_k = v_k^T M u of full-grid vectors, one row each.
-
-        u is one vector (N+1,) or a stack (S, N+1); the stack takes one
+        d is one vector (n+1,) or a stack (S, n+1); the stack takes one
         matrix product.
         """
-        u = np.asarray(u, dtype=float)
-        if u.ndim not in (1, 2) or u.shape[-1] != self.grid.size:
+        d = np.asarray(d, dtype=float)
+        if d.ndim not in (1, 2) or d.shape[-1] != self.eigenvalues.size:
             raise ValueError(
-                f"expected full-grid vectors of length {self.grid.size}, got {u.shape}"
+                f"expected coefficient vectors of length {self.eigenvalues.size}, "
+                f"got {d.shape}"
             )
-        if np.any(u[..., 0] != 0.0):
-            raise ValueError(
-                "vector must satisfy the essential condition u(u_min) = 0"
-            )
-        return (self.mass * u[..., 1:]) @ self.eigenvectors[1:]
+        return _band_apply(self.mass_band, d) @ self.eigenvectors
 
     def _norm(self, c: np.ndarray, s) -> np.ndarray:
         """Scale norm of index s from the coefficients c, with s per row of c."""
@@ -112,34 +99,31 @@ class DiscreteScaleOperator:
         exponent = ((s[..., None] if s.ndim else float(s)) + 1.0) / 2.0
         return np.sqrt(np.sum(self.eigenvalues**exponent * c**2, axis=-1))
 
-    def scale_norm(self, u: np.ndarray, s):
+    def scale_norm(self, d: np.ndarray, s):
         """Shifted-scale norm of index s: sqrt(sum_k lambda_k^((s+1)/2) c_k^2).
 
-        s = -1 recovers the discrete L2 norm, s = 1 the discrete version of
-        (||u''||^2 + ||u||^2)^(1/2).  A float for one vector u; for a stack
+        s = -1 gives the L2 norm of A, s = 1 the penalty norm
+        (||A''||^2 + ||A||^2)^(1/2).  A float for one vector d; for a stack
         of vectors, an array of norms with s one value or one per row.
         """
-        norm = self._norm(self._coefficients(u), s)
+        norm = self._norm(self._coefficients(d), s)
         return float(norm) if norm.ndim == 0 else norm
 
-    def x_norm(self, u: np.ndarray, s):
-        """Unshifted scale norm ||L^s u||, i.e. scale_norm at index s - 1."""
-        return self.scale_norm(u, np.asarray(s) - 1.0)
+    def x_norm(self, d: np.ndarray, s):
+        """Unshifted scale norm ||L^s d||, i.e. scale_norm at index s - 1."""
+        return self.scale_norm(d, np.asarray(s) - 1.0)
 
-    def apply_power(self, u: np.ndarray, t: float) -> np.ndarray:
+    def apply_power(self, d: np.ndarray, t: float) -> np.ndarray:
         """Apply the fractional power L^t (eigenvalues lambda_k^(t/4))."""
-        c = self._coefficients(u)
-        out = np.zeros_like(np.asarray(u, dtype=float))
-        out[1:] = self.eigenvectors[1:] @ (self.eigenvalues ** (t / 4.0) * c)
-        return out
+        return (self.eigenvalues ** (t / 4.0) * self._coefficients(d)) @ self.eigenvectors.T
 
-    def interpolation_margin(self, u: np.ndarray, r, s, t):
+    def interpolation_margin(self, d: np.ndarray, r, s, t):
         """RHS - LHS of the interpolation inequality between scale levels.
 
-        ||L^s u|| <= ||L^r u||^((t-s)/(t-r)) * ||L^t u||^((s-r)/(t-r))
+        ||L^s d|| <= ||L^r d||^((t-s)/(t-r)) * ||L^t d||^((s-r)/(t-r))
         for r <= s <= t, r < t.  The returned margin is nonnegative up to
         rounding (contract: margin >= -1e-10 * RHS).  A float for one
-        vector u; for a stack of vectors, an array of margins with each
+        vector d; for a stack of vectors, an array of margins with each
         level one value or one per row, every row checked.
         """
         r, s, t = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (r, s, t)))
@@ -149,9 +133,9 @@ class DiscreteScaleOperator:
             raise ValueError(
                 f"need r <= s <= t with r < t, got r={r[i]}, s={s[i]}, t={t[i]}"
             )
-        if not np.all(np.any(np.asarray(u)[..., 1:], axis=-1)):
+        if not np.all(np.any(d, axis=-1)):
             raise ValueError("interpolation margin undefined for the zero vector")
-        c = self._coefficients(u)
+        c = self._coefficients(d)
         lhs = self._norm(c, s - 1.0)
         rhs = self._norm(c, r - 1.0) ** ((t - s) / (t - r)) * self._norm(c, t - 1.0) ** (
             (s - r) / (t - r)
@@ -160,104 +144,46 @@ class DiscreteScaleOperator:
         return float(margin) if margin.ndim == 0 else margin
 
 
-def build_scale_operator(interval: StateInterval, n_points: int) -> DiscreteScaleOperator:
-    """Assemble the discrete scale operator on N = n_points elements.
+def build_scale_operator(interval: StateInterval, n_elements: int) -> DiscreteScaleOperator:
+    """Assemble the scale operator of the solver's penalty on n_elements elements.
 
-    The grid has n_points + 1 nodes; the first node carries the essential
-    condition and is eliminated from the unknowns.
+    Raises ValueError unless n_elements is an integer >= 1, and
+    NumericalError if LAPACK fails or the eigenvectors are not
+    P-orthonormal to 1e-10.
     """
-    n = int(n_points)
-    if n < 4:
-        raise ValueError(f"need at least 4 grid intervals, got {n}")
-    grid = interval.uniform_grid(n)
-    dx = interval.length / n
-
-    # interior second differences on the constrained unknowns u_1..u_N
-    # (u_0 = 0 is eliminated; its column is dropped), weighted by the
-    # square root of the quadrature weight dx: row j is the stencil
-    # (F[j, j-1], F[j, j], F[j, j+1]), and F[0, -1], which would act on u_0, is 0
-    band = np.tile(np.sqrt(dx) * (np.array([1.0, -2.0, 1.0]) / dx**2), (n - 1, 1))
-    band[0, 0] = 0.0
-
-    # trapezoid-lumped mass on u_1..u_N (u_0 excluded)
-    mass_diag = np.full(n, dx)
-    mass_diag[-1] = dx / 2.0
-
-    # eigenpairs of (K + M) v = lambda M v via the SVD of S = F M^{-1/2}:
-    # lambda = 1 + sigma^2 >= 1 exactly, v = M^{-1/2} q is M-orthonormal.
-    # Entry (j, k) of the band sits in column j + k - 1 of F, whose mass
-    # root divides it; F[0, -1] = 0 gets 1.
-    root = np.sqrt(mass_diag)
-    sigma, q = _right_singular_pairs(band / sliding_window_view(np.append(1.0, root), 3))
-    eigenvalues = 1.0 + sigma**2
-    order = np.argsort(eigenvalues)
-    eigenvalues = eigenvalues[order]
-    vectors = (q / root[:, None])[:, order]
-    eigenvectors = np.vstack([np.zeros(n), vectors])
-
-    op = DiscreteScaleOperator(
-        interval=interval,
-        grid=grid,
-        difference_band=band,
-        mass=mass_diag,
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-    )
-    _validate(op)
-    return op
-
-
-def _right_singular_pairs(band: np.ndarray):
-    """N singular values and right singular vectors of S = F M^{-1/2}.
-
-    `band` holds the rows (S[j, j-1], S[j, j], S[j, j+1]) of the (N-1, N)
-    matrix S, with S[0, -1] = 0: in C order, the Fortran band of S^T in
-    LAPACK's general layout, which dgbbrd overwrites.  dgbbrd reduces it to
-    S^T = Q B P^T with B upper bidiagonal, and dbdsdc finds B = U_B Sigma
-    V_B^T.  The right singular vectors of S are then Q[:, :N-1] U_B, for the
-    N-1 values in descending order, and last Q[:, N-1], which spans the
-    null space of S and gets the value 0.
-    """
-    rows, n = len(band), len(band) + 1
-    d, e = np.empty(rows), np.empty(rows)
-    q = np.empty((n, n))  # Fortran Q, so its C-order rows are the columns of Q
-    # placeholders for the arrays neither routine references here
-    unused, unused_int = np.zeros(1), np.zeros(1, dtype=np.int64)
-    work = np.empty(2 * n)
+    if not isinstance(n_elements, numbers.Integral) or n_elements < 1:
+        raise ValueError(f"n_elements must be an integer >= 1, got {n_elements!r}")
+    n = int(n_elements)
+    size = n + 1
+    (k_rows, k_weights), (p_rows, p_weights) = _penalty_rows(interval, n)
+    mass_band = _gram_band(p_rows, p_weights, size)
+    # dsbgvd overwrites both bands; z returns the eigenvectors as its C-order rows
+    pencil, mass = np.array(_penalty_band(interval, n)), mass_band.copy()
+    w, z = np.empty(size), np.empty((size, size))
+    work = np.empty(1 + 5 * size + 2 * size**2)
+    iwork = np.empty(3 + 5 * size, dtype=np.int64)
     status = int64()
-    _dgbbrd(
-        b"Q", int64(n), int64(rows), int64(0), int64(1), int64(1), dptr(band), int64(3),
-        dptr(d), dptr(e), dptr(q), int64(n), dptr(unused), int64(1),
-        dptr(unused), int64(1), dptr(work), status, 1,
+    _dsbgvd(
+        b"V", b"L", int64(size), int64(2), int64(2), dptr(pencil), int64(3), dptr(mass),
+        int64(3), dptr(w), dptr(z), int64(size), dptr(work), int64(work.size),
+        iptr(iwork), int64(iwork.size), status, 1, 1,
     )
-    if status.value != 0:
+    info = status.value
+    if info != 0:
+        cause = "; P is not positive definite" if info > size else ""
         raise NumericalError(
-            f"band bidiagonalization (LAPACK dgbbrd) failed: info {status.value}"
+            f"banded generalized eigensolver (LAPACK dsbgvd) failed: info {info}{cause}"
         )
-    u_b, vt_b = np.empty((rows, rows)), np.empty((rows, rows))
-    work = np.empty(3 * rows**2 + 4 * rows)
-    iwork = np.empty(8 * rows, dtype=np.int64)
-    _dbdsdc(
-        b"U", b"I", int64(rows), dptr(d), dptr(e), dptr(u_b), int64(rows),
-        dptr(vt_b), int64(rows), dptr(unused), iptr(unused_int),
-        dptr(work), iptr(iwork), status, 1, 1,
+    gram = _band_apply(mass_band, z) @ z.T
+    defect = np.max(np.abs(gram - np.eye(size)))
+    if not defect <= 1e-10:
+        raise NumericalError(f"P-orthonormality defect {defect:.2e} > 1e-10")
+    # Rayleigh quotients above the bottom eigenvalue, which is 1 (A'' = 0)
+    energy = _apply_rows(k_rows, z[1:]) ** 2 @ k_weights
+    return DiscreteScaleOperator(
+        interval=interval,
+        n_elements=n,
+        mass_band=mass_band,
+        eigenvalues=np.append(1.0, 1.0 + energy / np.diagonal(gram)[1:]),
+        eigenvectors=z.T,
     )
-    if status.value != 0:
-        raise NumericalError(f"bidiagonal SVD (LAPACK dbdsdc) failed: info {status.value}")
-    # u_b holds U_B in Fortran order, i.e. U_B^T in C order
-    vectors = np.empty((n, n))
-    vectors[:, :rows] = q[:rows].T @ u_b.T
-    vectors[:, rows] = q[rows]
-    return np.append(d, 0.0), vectors
-
-
-def _validate(op: DiscreteScaleOperator) -> None:
-    if op.eigenvalues[0] < 1.0 - 1e-10:
-        raise NumericalError(
-            f"smallest eigenvalue {op.eigenvalues[0]!r} below the strict-positivity bound"
-        )
-    v = op.eigenvectors[1:]
-    gram = v.T @ (op.mass[:, None] * v)
-    orth_defect = np.max(np.abs(gram - np.eye(v.shape[1])))
-    if orth_defect > 1e-10:
-        raise NumericalError(f"M-orthonormality defect {orth_defect:.2e} > 1e-10")

@@ -11,10 +11,13 @@ P-splines).  On element k with local coordinate t,
 with A(u_min) = 0 as d_{-1} = -d_0 folded into column 0, and the nodal
 values are a_0 = 2 d_0 / dx, a_j = (d_j - d_{j-1}) / dx.  `_value_rows`
 gives these rows at any points: the Tikhonov assembly builds T and the
-penalty from them, and `_antiderivative` applies them, so A is exactly
-linear in the nodes.  All norms are exact element-wise quadratures.
-`_norms` and `_antiderivative` take nodal values stacked along leading
-axes, so a stack of splines takes one pass; one spline is the one-row case.
+penalty from them, and `_antiderivative` applies them with `_apply_rows`,
+so A is exactly linear in the nodes.  A set of rows is a pair (first,
+weights): row i has weights[p][i] in column first[i] + p, stored p-major
+so that each weights[p] is contiguous.  All norms are exact element-wise
+quadratures.  `_norms` and `_antiderivative` take nodal values stacked
+along leading axes, so a stack of splines takes one pass; one spline is
+the one-row case.
 """
 
 from __future__ import annotations
@@ -194,20 +197,22 @@ def _fold(first: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Rows of three weights from column `first`, with d_{-1} = -d_0 folded in.
 
     A row starting at column -1 is shifted to start at column 0; `weights`,
-    (..., 3), may be updated in place.
+    (3, ...) with weights[p] acting on column first + p, is updated in place.
     """
-    edge = np.flatnonzero(first < 0)
-    rows = weights.reshape(-1, 3)
-    rows[edge] = np.column_stack(
-        (rows[edge, 1] - rows[edge, 0], rows[edge, 2], np.zeros(edge.size))
-    )
-    return np.maximum(first, 0), rows.reshape(weights.shape)
+    edge = first < 0
+    weights[0][edge] = weights[1][edge] - weights[0][edge]
+    weights[1][edge] = weights[2][edge]
+    weights[2][edge] = 0.0
+    return np.maximum(first, 0), weights
 
 
 def _value_rows(interval: StateInterval, n: int, u) -> tuple[np.ndarray, np.ndarray]:
-    """Rows giving A(u) in the B-spline coefficients d, one per point of u."""
+    """Rows giving A(u) in the B-spline coefficients d, one per point of u.
+
+    Returns (first, weights) with first of u's shape and weights (3, *u.shape).
+    """
     k, t = _locate(interval, n, u)
-    weights = np.stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2), axis=-1)
+    weights = np.stack(((1 - t) ** 2 / 2, (1 + 2 * t - 2 * t * t) / 2, t * t / 2))
     return _fold(k - 1, weights)
 
 
@@ -219,6 +224,25 @@ def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
     return dx * (np.cumsum(a, axis=-1) - a[..., :1] / 2)
 
 
+def _apply_rows(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
+    """Products of the rows (first, weights) with coefficient vectors d, (..., n+1).
+
+    Every vector meets every row: the result has shape d.shape[:-1] +
+    first.shape.  A row may reach two columns past d, where its weight is 0
+    (the folded first row when n = 1), so d is padded with two zeros.
+    """
+    first, weights = rows
+    padded = np.zeros(d.shape[:-1] + (d.shape[-1] + 2,))
+    padded[..., :-2] = d
+    out = np.take(padded, first, axis=-1)
+    out *= weights[0]
+    for p in (1, 2):
+        term = np.take(padded, first + p, axis=-1)
+        term *= weights[p]
+        out += term
+    return out
+
+
 def _antiderivative(interval: StateInterval, a: np.ndarray, u) -> np.ndarray:
     """A(u) for nodal values `a` stacked along leading axes, (..., n+1).
 
@@ -227,16 +251,8 @@ def _antiderivative(interval: StateInterval, a: np.ndarray, u) -> np.ndarray:
     computes what it would alone, bit for bit.
     """
     n = a.shape[-1] - 1
-    first, weights = _value_rows(interval, n, u)
-    padded = np.zeros(a.shape[:-1] + (n + 3,))
-    padded[..., :-2] = _coefficients(a, interval.length / n)
-    out = np.take(padded, first, axis=-1)
-    out *= weights[..., 0]
-    for p in (1, 2):
-        term = np.take(padded, first + p, axis=-1)
-        term *= weights[..., p]
-        out += term
-    return out
+    rows = _value_rows(interval, n, u)
+    return _apply_rows(rows, _coefficients(a, interval.length / n))
 
 
 def _node_stack(spline) -> tuple[StateInterval, np.ndarray]:

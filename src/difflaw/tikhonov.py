@@ -24,7 +24,8 @@ called through ctypes with 64-bit integers.
 
 The penalty K + P depends on the grid alone, so its band is assembled once
 per (interval, n_elements), kept in a small memo and shared, read-only, by
-every problem on that grid.  `build_tikhonov_problem(data, n_elements)`
+every problem on that grid; `difflaw.hilbert_scale` builds the scale of the
+penalty from the same band and rows.  `build_tikhonov_problem(data, n_elements)`
 assembles the band of T^T W T and the vector T^T W y once per data set;
 alpha is chosen per solve, either directly with
 `solve_tikhonov(problem, alpha)` or by the discrepancy principle with
@@ -106,10 +107,10 @@ def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
     padded[..., :-2] = d
     columns, values = _columns(first, padded.shape[-1]), padded.ravel()
     out = np.take(values, columns)
-    out *= weights[..., 0]
+    out *= weights[0]
     for p in (1, 2):
         term = np.take(values, columns + p)
-        term *= weights[..., p]
+        term *= weights[p]
         out += term
     return out
 
@@ -126,9 +127,9 @@ def _gram_band(
     columns = _columns(first, size + 2).ravel()
     band = np.zeros((int(np.prod(stack)) * (size + 2), 3))
     for p in range(3):
-        weighted = row_weights * weights[..., p]
+        weighted = row_weights * weights[p]
         for q in range(p, 3):
-            products = (weighted * weights[..., q]).ravel()
+            products = (weighted * weights[q]).ravel()
             band[:, q - p] += np.bincount(columns + p, products, minlength=len(band))
     return band.reshape((*stack, size + 2, 3))[..., :size, :]
 
@@ -155,7 +156,7 @@ class TikhonovProblem:
 
     data: TraceData | tuple    # one data set, or the stack's S data sets
     n_elements: int
-    t_rows: tuple              # (first column (S, m), weights (S, m, 3)) of T in d
+    t_rows: tuple              # (first column (S, m), weights (3, S, m)) of T in d
     normal_band: np.ndarray    # (S, n+1, 3) lower bands of T^T W T
     penalty_band: np.ndarray   # (n+1, 3) lower band of K + P, shared per grid
     normal_rhs: np.ndarray     # (S, n+1) T^T W y
@@ -188,16 +189,25 @@ class ReconstructionResult:
             raise ValueError("residual must be >= 0")
 
 
-@functools.lru_cache(maxsize=8)
-def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
-    """Read-only lower band of K + P on the n-element grid, (n+1, 3)."""
+def _penalty_rows(interval: StateInterval, n: int) -> tuple:
+    """The rows of K and of P on the n-element grid, apart: (rows, row weights) each.
+
+    d^T K d = ||A''||^2 and d^T P d = ||A||^2 are the weighted sums of the
+    squares of their rows' products with d.
+    """
     points, gauss_weights = _element_gauss_rule(interval, n)
     dx = interval.length / n
     # K: (a_{k+1} - a_k)^2 / dx = (d_{k+1} - 2 d_k + d_{k-1})^2 / dx^3
-    k_rows = _fold(np.arange(n) - 1, np.tile([1.0, -2.0, 1.0], (n, 1)))
-    p_rows = _value_rows(interval, n, points)
-    rows = tuple(np.concatenate(pair) for pair in zip(k_rows, p_rows))
-    band = _gram_band(rows, np.concatenate((np.full(n, dx**-3), gauss_weights)), n + 1)
+    k_rows = _fold(np.arange(n) - 1, np.repeat([[1.0], [-2.0], [1.0]], n, axis=1))
+    return (k_rows, np.full(n, dx**-3)), (_value_rows(interval, n, points), gauss_weights)
+
+
+@functools.lru_cache(maxsize=8)
+def _penalty_band(interval: StateInterval, n: int) -> np.ndarray:
+    """Read-only lower band of K + P on the n-element grid, (n+1, 3)."""
+    (k_rows, k_weights), (p_rows, p_weights) = _penalty_rows(interval, n)
+    rows = tuple(np.concatenate(pair, axis=-1) for pair in zip(k_rows, p_rows))
+    band = _gram_band(rows, np.concatenate((k_weights, p_weights)), n + 1)
     band.flags.writeable = False
     return band
 
@@ -246,7 +256,7 @@ def build_tikhonov_problem(data, n_elements: int) -> TikhonovProblem:
     columns = _columns(first, width).ravel()
     wy = quad_weights * y
     rhs = sum(
-        np.bincount(columns + p, (wy * weights[..., p]).ravel(), minlength=count * width)
+        np.bincount(columns + p, (wy * weights[p]).ravel(), minlength=count * width)
         for p in range(3)
     ).reshape(count, width)[:, : n + 1]
     normal_band = _gram_band(t_rows, quad_weights, n + 1)
@@ -263,9 +273,9 @@ def build_tikhonov_problem(data, n_elements: int) -> TikhonovProblem:
     )
 
 
-def _selected(array: np.ndarray, members) -> np.ndarray:
-    """The rows of `array` for the given members: `array` itself when they are all."""
-    return array if len(members) == len(array) else array[members]
+def _selected(array: np.ndarray, members, axis: int = 0) -> np.ndarray:
+    """The given members of `array` along its stack axis: `array` itself when they are all."""
+    return array if len(members) == array.shape[axis] else array.take(members, axis)
 
 
 def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
@@ -319,7 +329,8 @@ def _solve(
     """
     factor = _factor(problem, alphas, members)
     d = _apply_inverse(factor, _selected(problem.normal_rhs, members))
-    rows = tuple(_selected(array, members) for array in problem.t_rows)
+    first, weights = problem.t_rows
+    rows = (_selected(first, members), _selected(weights, members, axis=1))
     misfit = _apply(rows, d) - _selected(problem.y_values, members)
     return factor, d, quadrature_norm(misfit, problem.quad_weights).tolist()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import difflaw as dl
+from difflaw.tikhonov import _penalty_rows
 
 RATE_DELTAS = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -46,12 +47,12 @@ def median_of(records, delta, column):
     return float(np.median(values))
 
 
-def dense_difference(op):
-    """The (N-1, N) weighted second differences F whose band the scale operator stores."""
-    band = op.difference_band
-    rows = np.arange(len(band))
-    factor = np.zeros((rows.size, rows.size + 1))
-    factor[rows[1:], rows[1:] - 1] = band[1:, 0]
-    factor[rows, rows] = band[:, 1]
-    factor[rows, rows + 1] = band[:, 2]
-    return factor
+def dense_penalty_rows(interval, n):
+    """Dense weighted rows F and Q of the solver's penalty: K = F^T F, P = Q^T Q."""
+    factors = []
+    for (first, weights), row_weights in _penalty_rows(interval, n):
+        rows = np.zeros((first.size, n + 3))
+        for p in range(3):
+            rows[np.arange(first.size), first + p] += weights[p]
+        factors.append(np.sqrt(row_weights)[:, None] * rows[:, : n + 1])
+    return tuple(factors)

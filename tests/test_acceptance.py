@@ -11,7 +11,7 @@ import numpy as np
 import difflaw as dl
 from difflaw import checks
 
-from conftest import dense_difference, median_of
+from conftest import dense_penalty_rows, median_of
 
 TABLE_ERR0 = {1e-2: 0.036672, 1e-3: 0.008765, 1e-4: 0.002147}
 
@@ -110,9 +110,10 @@ def test_criterion_6_hilbert_scale_suite():
     criterion = "criterion 6 (discrete Hilbert-scale spectral suite)"
     op = dl.build_scale_operator(dl.reference_interval(), 400)
     suite = _measure(criterion, checks.check_scale_operator, op=op, n_samples=500, seed=55)
-    factor = dense_difference(op)
-    k = factor.T @ factor
-    sym_defect = np.max(np.abs(k - k.T)) / np.max(np.abs(k))
+    # K + P assembled densely from the solver's rows, whose band the operator factors
+    f, q = dense_penalty_rows(op.interval, op.n_elements)
+    penalty = f.T @ f + q.T @ q
+    sym_defect = np.max(np.abs(penalty - penalty.T)) / np.max(np.abs(penalty))
     detail = (
         f"symmetry defect {sym_defect:.1e}, lambda_min {suite['lam_min']!r}, "
         f"worst interpolation margin/RHS {suite['worst_margin']:.1e} over 500 checks, "

@@ -134,6 +134,21 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_study_reports_failed_cells(tmp_path, capsys):
+    # the cells at delta = 1e-12 fail; the study still exits 0 with the
+    # others' records, as it wrote them before, and says so on stdout
+    args = ["study", "--alpha-rule", "discrepancy", "--trials", "2"]
+    with pytest.warns(UserWarning, match="delta=1e-12"):
+        code = main(args + ["--deltas", "1e-2,1e-3,1e-12", "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert "2 of 6 cells failed" in capsys.readouterr().out
+    assert main(args + ["--deltas", "1e-2,1e-3", "--out", str(tmp_path / "y")]) == 0
+    assert "cells failed" not in capsys.readouterr().out
+    assert (tmp_path / "x" / "records.csv").read_bytes() == (
+        tmp_path / "y" / "records.csv"
+    ).read_bytes()
+
+
 def test_io_failure_exits_3(tmp_path, capsys, monkeypatch):
     # an output directory that cannot be made fails before any cell is solved
     def no_study(config):

@@ -1,15 +1,21 @@
+import ctypes
+
 import numpy as np
 import pytest
 
 from difflaw import (
     NumericalError,
+    ParameterSpline,
+    antiderivative_l2_norm,
     build_scale_operator,
     checks,
     hilbert_scale,
     reference_interval,
 )
+from difflaw.splines import _coefficients
+from difflaw.tikhonov import _band_apply, _penalty_band
 
-from conftest import dense_difference
+from conftest import dense_penalty_rows
 
 
 @pytest.fixture(scope="module")
@@ -17,36 +23,45 @@ def op400():
     return build_scale_operator(reference_interval(), 400)
 
 
-def _stiffness(op):
-    """The assembled stiffness matrix K = F^T F."""
-    factor = dense_difference(op)
-    return factor.T @ factor
+def _random_vector(op, rng):
+    return rng.normal(size=op.eigenvalues.size)
 
 
-def _random_constrained(op, rng):
-    u = np.zeros(op.n_points)
-    u[1:] = rng.normal(size=op.n_points - 1)
-    return u
+def _mass_norm(op, d):
+    return np.sqrt(d @ _band_apply(op.mass_band, d))
+
+
+def _assert_invariants(op):
+    n = op.n_elements
+    f, q = dense_penalty_rows(op.interval, n)
+    mass = q.T @ q
+    dense_band = np.stack([np.append(np.diagonal(mass, -k), np.zeros(k)) for k in range(3)], 1)
+    assert op.mass_band.shape == (n + 1, 3)
+    assert np.max(np.abs(op.mass_band - dense_band)) <= 1e-15 * np.max(np.abs(mass))
+    assert op.eigenvalues[0] == 1.0 and np.all(np.diff(op.eigenvalues) >= 0)
+    v = op.eigenvectors
+    assert v.shape == (n + 1, n + 1)
+    assert np.max(np.abs(v.T @ mass @ v - np.eye(n + 1))) <= 1e-10
+    # above the bottom, the eigenvalues are the Rayleigh quotients 1 + |F v|^2 / v^T P v
+    quotients = 1.0 + np.sum((f @ v) ** 2, axis=0) / np.sum((q @ v) ** 2, axis=0)
+    np.testing.assert_allclose(op.eigenvalues[1:], quotients[1:], rtol=1e-12, atol=0)
 
 
 def test_construction_invariants(op400):
-    assert op400.difference_band.shape == (399, 3) and op400.difference_band[0, 0] == 0.0
-    k = _stiffness(op400)
-    assert np.max(np.abs(k - k.T)) <= 1e-14 * np.max(np.abs(k))
-    m = op400.mass
-    assert m.shape == (400,)
-    assert np.all(m > 0)
-    assert op400.eigenvalues[0] >= 1.0 - 1e-10
-    assert np.all(np.diff(op400.eigenvalues) >= 0)
-    v = op400.eigenvectors
-    assert np.all(v[0] == 0.0)
-    gram = v[1:].T @ (m[:, None] * v[1:])
-    assert np.max(np.abs(gram - np.eye(400))) <= 1e-10
+    _assert_invariants(op400)
 
 
-def test_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        build_scale_operator(reference_interval(), 3)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_small_grids_build(n):
+    op = build_scale_operator(reference_interval(), n)
+    _assert_invariants(op)
+    checks.check_scale_operator(op, n_samples=20, seed=n)
+
+
+@pytest.mark.parametrize("n", [10.9, "12", 0, -1, np.nan, None])
+def test_rejects_what_the_solver_rejects(n):
+    with pytest.raises(ValueError, match=rf"n_elements must be an integer >= 1, got {n!r}"):
+        build_scale_operator(reference_interval(), n)
 
 
 def test_build_takes_no_dense_svd(monkeypatch):
@@ -58,85 +73,130 @@ def test_build_takes_no_dense_svd(monkeypatch):
     assert op.eigenvalues[0] == 1.0
 
 
-@pytest.mark.parametrize("routine, lengths", [("dgbbrd", 1), ("dbdsdc", 2)])
-def test_lapack_failure_names_the_routine(monkeypatch, routine, lengths):
-    # the status argument sits just before the trailing character lengths
-    def failing(*args):
-        args[-1 - lengths].value = 3
+def test_build_factors_the_solvers_penalty(monkeypatch):
+    # one dsbgvd call, on the solver's band of K + P and the band of P,
+    # each read before dsbgvd overwrites it
+    calls = []
+    solver = hilbert_scale._dsbgvd
 
-    monkeypatch.setattr(hilbert_scale, f"_{routine}", failing)
-    with pytest.raises(NumericalError, match=rf"LAPACK {routine}\) failed: info 3"):
+    def band(arg):
+        return np.array((ctypes.c_double * (31 * 3)).from_address(ctypes.addressof(arg)))
+
+    def recording(*args):
+        calls.append((band(args[5]), band(args[7])))
+        solver(*args)
+
+    monkeypatch.setattr(hilbert_scale, "_dsbgvd", recording)
+    op = build_scale_operator(reference_interval(), 30)
+    ((pencil, mass),) = calls
+    assert pencil.tobytes() == _penalty_band(reference_interval(), 30).tobytes()
+    assert mass.tobytes() == op.mass_band.tobytes()
+
+
+@pytest.mark.parametrize(
+    "info, cause",
+    [(3, r"info 3$"), (11 + 3, r"info 14; P is not positive definite")],
+    ids=["dsbgvd-no-convergence", "dsbgvd-mass-not-definite"],
+)
+def test_lapack_failure_names_the_routine(monkeypatch, info, cause):
+    # the status argument sits just before the two trailing character lengths;
+    # an info above n + 1 reports that the Cholesky factor of P failed
+    def failing(*args):
+        args[-3].value = info
+
+    monkeypatch.setattr(hilbert_scale, "_dsbgvd", failing)
+    with pytest.raises(NumericalError, match=rf"LAPACK dsbgvd\) failed: {cause}"):
         build_scale_operator(reference_interval(), 10)
 
 
 def test_linear_function_rayleigh_quotient(op400):
-    # u(x) = x - u_min has vanishing interior second differences, so its
-    # stiffness energy ||F u||^2 is exactly zero and the Rayleigh quotient is 1
-    u = op400.grid - op400.grid[0]
-    energy = np.sum((dense_difference(op400) @ u[1:]) ** 2)
-    quotient = 1.0 + energy / (u[1:] @ (op400.mass * u[1:]))
-    assert 1.0 <= quotient <= 1.0 + 1e-8
-    # the factored form and the assembled matrix agree up to assembly rounding
-    assert abs(u[1:] @ _stiffness(op400) @ u[1:] - energy) <= 1e-7
+    # a = 1 gives A(u) = u - u_min, with A'' = 0: its Rayleigh quotient is 1,
+    # it spans the first eigenvector, and its penalty norm is its L2 norm
+    interval = op400.interval
+    d = _coefficients(np.ones(401), interval.length / 400)
+    f, q = dense_penalty_rows(interval, 400)
+    assert 1.0 <= 1.0 + np.sum((f @ d) ** 2) / np.sum((q @ d) ** 2) <= 1.0 + 1e-12
+    cosine = abs(d @ _band_apply(op400.mass_band, op400.eigenvectors[:, 0]))
+    assert cosine / _mass_norm(op400, d) >= 1.0 - 1e-10
+    l2 = np.sqrt(interval.length**3 / 3)
+    assert op400.scale_norm(d, -1.0) == pytest.approx(l2, rel=1e-12)
+    assert op400.scale_norm(d, 1.0) == pytest.approx(l2, rel=1e-5)
 
 
 def test_scale_norm_at_minus_one_is_l2(op400):
     checks.check_scale_operator(op400, n_samples=20, seed=0)
 
 
-def test_scale_norm_of_eigenvector(op400):
-    for k in (0, 3, 200, 399):
-        u = np.concatenate(([0.0], op400.eigenvectors[1:, k]))
-        lam = op400.eigenvalues[k]
-        for s in (-1.0, 0.0, 1.0, 2.0):
-            assert op400.scale_norm(u, s) == pytest.approx(
-                lam ** ((s + 1.0) / 4.0), rel=1e-10
-            )
+@pytest.mark.parametrize("n", [1, 5, 37, 200])
+def test_scale_norm_at_minus_one_is_the_l2_norm_of_a(n):
+    # the exact L2 norm of the antiderivative, by the splines' own quadrature
+    interval = reference_interval()
+    op = build_scale_operator(interval, n)
+    rng = np.random.default_rng(n)
+    splines = [ParameterSpline(interval, rng.normal(size=n + 1)) for _ in range(10)]
+    d = _coefficients(np.stack([spline.node_values for spline in splines]), interval.length / n)
+    np.testing.assert_allclose(
+        op.scale_norm(d, -1.0), antiderivative_l2_norm(splines), rtol=1e-12, atol=0
+    )
 
 
 def test_scale_norm_s1_matches_direct_quadrature():
-    # s = 1 norm^2 should match ||u''||^2 + ||u||^2 for a smooth compatible
-    # function, within 2% at N=400 and improving at N=800
+    # sum lambda c^2 = d^T (K + P) d, the solver's exact quadrature of the
+    # penalty ||A''||^2 + ||A||^2.  Smooth A weights its few large
+    # coefficients by lambda_max times the eigenvectors' squared error,
+    # measured worst 2.6e-6 (n = 400, a = 1), so it gets its own bound
     interval = reference_interval()
-    length = interval.length
-    oracle = (np.pi / length) ** 4 * length / 2.0 + length / 2.0
-    errors = {}
-    for n in (400, 800):
+    for n in (1, 5, 37, 200, 400):
         op = build_scale_operator(interval, n)
-        u = np.sin(np.pi * (op.grid - interval.u_min) / length)
-        u[0] = 0.0
-        norm_sq = op.scale_norm(u, 1.0) ** 2
-        errors[n] = abs(norm_sq - oracle) / oracle
-    assert errors[400] <= 0.02
-    assert errors[800] <= errors[400]
+        penalty = _penalty_band(interval, n)
+        grid = interval.uniform_grid(n)
+        shape = np.pi * (grid - interval.u_min) / interval.length
+        smooth = np.stack((np.ones(n + 1), 1.0 + grid**2, np.cos(shape)))
+        for d, bound in (
+            (np.random.default_rng(n).normal(size=(10, n + 1)), 1e-12),
+            (_coefficients(smooth, interval.length / n), 1e-5),
+        ):
+            np.testing.assert_allclose(
+                op.scale_norm(d, 1.0) ** 2,
+                np.vecdot(d, _band_apply(penalty, d)),
+                rtol=bound,
+                atol=0,
+                err_msg=f"n = {n}",
+            )
+
+
+def test_scale_norm_of_eigenvector(op400):
+    for k in (0, 3, 200, 400):
+        v = op400.eigenvectors[:, k]
+        lam = op400.eigenvalues[k]
+        for s in (-1.0, 0.0, 1.0, 2.0):
+            assert op400.scale_norm(v, s) == pytest.approx(lam ** ((s + 1.0) / 4.0), rel=1e-10)
 
 
 def test_scale_norm_monotone_in_s(op400):
     rng = np.random.default_rng(1)
-    u = _random_constrained(op400, rng)
-    values = [op400.scale_norm(u, s) for s in np.linspace(-2.0, 2.0, 9)]
+    d = _random_vector(op400, rng)
+    values = [op400.scale_norm(d, s) for s in np.linspace(-2.0, 2.0, 9)]
     assert np.all(np.diff(values) >= -1e-12 * values[0])
 
 
 def test_apply_power_identity_and_eigenpair(op400):
     rng = np.random.default_rng(2)
-    u = _random_constrained(op400, rng)
-    np.testing.assert_allclose(op400.apply_power(u, 0.0), u, rtol=0, atol=1e-10)
-    # t = 4 reproduces the eigenpair; measure in the mass norm since the
+    d = _random_vector(op400, rng)
+    np.testing.assert_allclose(op400.apply_power(d, 0.0), d, rtol=0, atol=1e-10)
+    # t = 4 reproduces the eigenpair; measure in the P norm since the
     # spectral sum amplifies orthogonality defects by lambda_max
-    for k in (17, 399):
-        v = op400.eigenvectors[:, k].copy()
-        out = op400.apply_power(v, 4.0)
-        err = out - op400.eigenvalues[k] * v
-        rel = np.sqrt(err[1:] @ (op400.mass * err[1:])) / op400.eigenvalues[k]
-        assert rel <= 1e-9
+    for k in (17, 400):
+        v = op400.eigenvectors[:, k]
+        err = op400.apply_power(v, 4.0) - op400.eigenvalues[k] * v
+        assert _mass_norm(op400, err) / op400.eigenvalues[k] <= 1e-9
 
 
 def test_apply_power_inverse_composition(op400):
     rng = np.random.default_rng(3)
-    u = _random_constrained(op400, rng)
-    roundtrip = op400.apply_power(op400.apply_power(u, -1.0), 1.0)
-    assert np.max(np.abs(roundtrip - u)) <= 1e-9 * np.max(np.abs(u))
+    d = _random_vector(op400, rng)
+    roundtrip = op400.apply_power(op400.apply_power(d, -1.0), 1.0)
+    assert np.max(np.abs(roundtrip - d)) <= 1e-9 * np.max(np.abs(d))
 
 
 def test_interpolation_inequality_random(op400):
@@ -144,7 +204,7 @@ def test_interpolation_inequality_random(op400):
 
 
 def test_interpolation_equality_on_eigenvector(op400):
-    v = np.concatenate(([0.0], op400.eigenvectors[1:, 42]))
+    v = op400.eigenvectors[:, 42]
     margin = op400.interpolation_margin(v, 0.0, 1.0, 2.0)
     rhs = op400.x_norm(v, 2.0)
     assert abs(margin) <= 1e-12 * rhs
@@ -152,44 +212,38 @@ def test_interpolation_equality_on_eigenvector(op400):
 
 def test_interpolation_margin_homogeneous(op400):
     rng = np.random.default_rng(5)
-    u = _random_constrained(op400, rng)
-    m1 = op400.interpolation_margin(u, 0.0, 1.0, 2.0)
-    m2 = op400.interpolation_margin(3.5 * u, 0.0, 1.0, 2.0)
+    d = _random_vector(op400, rng)
+    m1 = op400.interpolation_margin(d, 0.0, 1.0, 2.0)
+    m2 = op400.interpolation_margin(3.5 * d, 0.0, 1.0, 2.0)
     assert m2 == pytest.approx(3.5 * m1, rel=1e-9, abs=1e-12)
 
 
 def test_interpolation_margin_argument_errors(op400):
-    u = np.zeros(op400.n_points)
-    u[1] = 1.0
+    d = np.zeros(op400.eigenvalues.size)
+    d[0] = 1.0
     with pytest.raises(ValueError):
-        op400.interpolation_margin(u, 1.0, 1.0, 1.0)
+        op400.interpolation_margin(d, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        op400.interpolation_margin(np.zeros(op400.n_points), 0.0, 1.0, 2.0)
+        op400.interpolation_margin(np.zeros_like(d), 0.0, 1.0, 2.0)
 
 
-def test_vectors_must_satisfy_essential_condition(op400):
-    u = np.ones(op400.n_points)
-    with pytest.raises(ValueError):
-        op400.scale_norm(u, 0.0)
-    with pytest.raises(ValueError):
-        op400.scale_norm(np.ones(3), 0.0)
+def test_vectors_must_have_one_entry_per_coefficient(op400):
+    for shape in ((3,), (400,), (2, 402), (2, 2, 401)):
+        with pytest.raises(ValueError, match="coefficient vectors of length 401"):
+            op400.scale_norm(np.ones(shape), 0.0)
 
 
 def test_stacked_rows_are_each_checked(op400):
     rng = np.random.default_rng(6)
-    u = np.stack([_random_constrained(op400, rng) for _ in range(3)])
+    d = np.stack([_random_vector(op400, rng) for _ in range(3)])
     levels = np.array([0.0, 0.5, 1.0])
-    assert op400.interpolation_margin(u, levels, levels + 0.5, levels + 1.0).shape == (3,)
-    assert op400.scale_norm(u, 1.0).shape == (3,)
+    assert op400.interpolation_margin(d, levels, levels + 0.5, levels + 1.0).shape == (3,)
+    assert op400.scale_norm(d, 1.0).shape == (3,)
     with pytest.raises(ValueError):  # r <= s <= t fails in the last row only
-        op400.interpolation_margin(u, levels, [0.5, 1.0, 0.5], levels + 1.0)
+        op400.interpolation_margin(d, levels, [0.5, 1.0, 0.5], levels + 1.0)
     with pytest.raises(ValueError):  # r < t fails in the first row only
-        op400.interpolation_margin(u, levels, levels, [0.0, 1.0, 2.0])
-    zero_row = u.copy()
+        op400.interpolation_margin(d, levels, levels, [0.0, 1.0, 2.0])
+    zero_row = d.copy()
     zero_row[1] = 0.0
     with pytest.raises(ValueError):
         op400.interpolation_margin(zero_row, 0.0, 1.0, 2.0)
-    unconstrained = u.copy()
-    unconstrained[2, 0] = 1.0
-    with pytest.raises(ValueError):
-        op400.scale_norm(unconstrained, 0.0)

@@ -220,7 +220,7 @@ def test_stack_needs_one_grid(exact_data):
         with pytest.raises(ValueError, match="TraceData"):
             build_tikhonov_problem(bad, 50)
     stack = build_tikhonov_problem([exact_data, exact_data], 50)
-    assert stack.normal_band.shape == (2, 51, 3) and stack.t_rows[1].shape == (2, 500, 3)
+    assert stack.normal_band.shape == (2, 51, 3) and stack.t_rows[1].shape == (3, 2, 500)
     with pytest.raises(ValueError, match="one value per member"):
         solve_tikhonov(stack, [1e-6, 1e-6, 1e-6])
     with pytest.raises(ValueError, match="one data set"):
