@@ -254,6 +254,9 @@ def check_residual_monotonicity():
     alphas = np.logspace(-10, 2, 10)
     # one member per alpha: every solve is one banded Cholesky call
     results = solve_tikhonov(build_tikhonov_problem([data] * alphas.size, 200), alphas)
+    for result in results:  # a failed member raises what it raises alone
+        if isinstance(result, Exception):
+            raise result
     splines = [result.spline for result in results]
     nodes = np.stack([spline.node_values for spline in splines])
     # ||A''||^2 = ||a'||^2, exact for the piecewise-linear a

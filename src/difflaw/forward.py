@@ -155,10 +155,11 @@ def add_noise(data: TraceData, delta: float, rng: np.random.Generator) -> TraceD
 
     The perturbed states are clamped back into the state interval (data
     truncation), the observations are not.  The h draw precedes the y draw,
-    so results are reproducible for a given generator state.
+    so results are reproducible for a given generator state.  delta must be
+    >= 0, and the width 2 delta of the noise range finite.
     """
-    if not 0 <= delta < np.inf:
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    if not (0 <= delta and 2 * delta < np.inf):
+        raise ValueError(f"delta must be finite and >= 0 with 2*delta finite, got {delta!r}")
     xi = rng.uniform(-delta, delta, data.m)
     eta = rng.uniform(-delta, delta, data.m)
     h_noisy = np.clip(data.h_values + xi, data.interval.u_min, data.interval.u_max)

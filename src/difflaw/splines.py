@@ -11,13 +11,13 @@ P-splines).  On element k with local coordinate t,
 with A(u_min) = 0 as d_{-1} = -d_0 folded into column 0, and the nodal
 values are a_0 = 2 d_0 / dx, a_j = (d_j - d_{j-1}) / dx.  `_value_rows`
 gives these rows at any points: the Tikhonov assembly builds T and the
-penalty from them, and `_antiderivative` applies them with `_apply_rows`,
-so A is exactly linear in the nodes.  A set of rows is a pair (first,
-weights): row i has weights[p][i] in column first[i] + p, stored p-major
-so that each weights[p] is contiguous.  All norms are exact element-wise
-quadratures.  `_norms` and `_antiderivative` take nodal values stacked
-along leading axes, so a stack of splines takes one pass; one spline is
-the one-row case.
+penalty from them, and `_apply_rows` applies them, in `_antiderivative`
+and to T in the solver, so A is exactly linear in the nodes.  A set of
+rows is a pair (first, weights): row i has weights[p][i] in column
+first[i] + p, stored p-major so that each weights[p] is contiguous.  All
+norms are exact element-wise quadratures.  `_norms` and `_antiderivative`
+take nodal values stacked along leading axes, so a stack of splines takes
+one pass; one spline is the one-row case.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ class StateInterval:
         # as floats: equal intervals (one key of the shared penalty band) compute alike
         object.__setattr__(self, "u_min", float(self.u_min))
         object.__setattr__(self, "u_max", float(self.u_max))
+        if not self.length < np.inf:
+            raise ValueError(f"interval length u_max - u_min overflows: {self.length}")
 
     @property
     def length(self) -> float:
@@ -224,16 +226,26 @@ def _coefficients(a: np.ndarray, dx: float) -> np.ndarray:
     return dx * (np.cumsum(a, axis=-1) - a[..., :1] / 2)
 
 
-def _apply_rows(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
+def _columns(first: np.ndarray, width: int) -> np.ndarray:
+    """Columns `first` shifted into member blocks of `width` laid end to end."""
+    count = first.size // first.shape[-1]
+    return first + width * np.arange(count).reshape(first.shape[:-1] + (1,))
+
+
+def _apply_rows(rows: tuple, d: np.ndarray, paired: bool = False) -> np.ndarray:
     """Products of the rows (first, weights) with coefficient vectors d, (..., n+1).
 
     Every vector meets every row: the result has shape d.shape[:-1] +
-    first.shape.  A row may reach two columns past d, where its weight is 0
-    (the folded first row when n = 1), so d is padded with two zeros.
+    first.shape.  If `paired`, first is (S, m) and d (S, n+1), and the rows
+    of member i meet d[i] alone: the result is (S, m).  A row may reach two
+    columns past d, where its weight is 0 (the folded first row when n = 1),
+    so d is padded with two zeros.
     """
     first, weights = rows
     padded = np.zeros(d.shape[:-1] + (d.shape[-1] + 2,))
     padded[..., :-2] = d
+    if paired:
+        first, padded = _columns(first, padded.shape[-1]), padded.ravel()
     out = np.take(padded, first, axis=-1)
     out *= weights[0]
     for p in (1, 2):

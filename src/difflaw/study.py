@@ -2,8 +2,9 @@
 
 Each study cell (delta, trial) draws its noise from a seed derived from
 the base seed, and identical configurations produce identical CSV bytes.
-The cells of one noise level are solved as one stack of Tikhonov problems;
-a cell's record does not depend on the stack it is solved in.  Under the
+The cells of one noise level are solved as one stack of Tikhonov problems,
+in one solve that reports each cell's result or error; a cell's record
+does not depend on the stack it is solved in.  Under the
 discrepancy rule a cell's alpha also depends on the previous noise level:
 each level after the first starts its search at the previous level's
 median alpha, scaled by the ratio of the delta^(8/5) rule.
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import NumericalError
 from .forward import add_noise
 from .reference import exact_parameter_spline, reference_exact_data
 from .splines import _norms
@@ -114,6 +114,9 @@ class StudyConfig:
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         object.__setattr__(self, "rule", _parse_alpha_rule(self.alpha_rule))
+        if self.rule[0] != "discrepancy":  # each level's alpha, before any cell is solved
+            for delta in self.delta_list:
+                alpha_a_priori(delta, *self.rule)
 
 
 @dataclass(frozen=True)
@@ -135,73 +138,50 @@ def derive_seed(base_seed: int, delta: float, trial: int) -> int:
     return (int(base_seed) ^ zlib.crc32(tag)) & 0xFFFFFFFF
 
 
-def _solve_level(delta, trials, config, exact_data, exact_spline, alpha_start=None):
-    """Records of the given trials at one noise level, solved as one stack.
+def _solve_level(delta, config, exact_data, exact_spline, alpha_start=None) -> list:
+    """Each trial's record, or the error it raised, at one noise level, by trial.
 
-    alpha_start is the discrepancy search's start; the other rules ignore it.
+    The trials are solved as one stack.  alpha_start is the discrepancy
+    search's start; the other rules ignore it.
     """
-    seeds = [derive_seed(config.base_seed, delta, trial) for trial in trials]
+    seeds = [derive_seed(config.base_seed, delta, trial) for trial in range(config.trials)]
     data = [add_noise(exact_data, delta, np.random.default_rng(seed)) for seed in seeds]
     problem = build_tikhonov_problem(data, config.n_spline)
     name, param = config.rule
     if name == "discrepancy":
-        results = alpha_discrepancy(problem, delta, tau=param, alpha_start=alpha_start)
+        outcomes = alpha_discrepancy(problem, delta, tau=param, alpha_start=alpha_start)
     else:
-        results = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
-    errors = np.stack([result.spline.node_values for result in results])
-    errors -= exact_spline.node_values
-    err0, err1 = (norms.tolist() for norms in _norms(errors, exact_spline.spacing))
+        outcomes = solve_tikhonov(problem, alpha_a_priori(delta, name, coeff=param))
+    # a failed trial's row holds the exact nodes and gives no record
+    nodes = np.stack([
+        exact_spline.node_values if isinstance(o, Exception) else o.spline.node_values
+        for o in outcomes
+    ])
+    norms = _norms(nodes - exact_spline.node_values, exact_spline.spacing)
     return [
-        ConvergenceRecord(
-            delta=float(delta),
-            alpha=float(result.alpha),
-            trial=int(trial),
-            seed=seed,
-            err0=e0,
-            err1=e1,
-            residual=result.residual,
+        o if isinstance(o, Exception) else ConvergenceRecord(
+            float(delta), float(o.alpha), trial, seeds[trial], e0, e1, o.residual
         )
-        for trial, seed, result, e0, e1 in zip(trials, seeds, results, err0, err1)
+        for trial, (o, e0, e1) in enumerate(zip(outcomes, *(n.tolist() for n in norms)))
     ]
-
-
-def _level_outcomes(delta, config, exact_data, exact_spline, alpha_start=None) -> list:
-    """(trial, its record or the error it raised) at one noise level, by trial.
-
-    The trials are solved as one stack.  If that raises, they are solved
-    again one by one, each as a stack of one and from the same alpha_start,
-    so that a failing trial reports its own error and the others keep their
-    records; a record does not depend on the stack it was solved in.
-    """
-    trials = range(config.trials)
-    args = (config, exact_data, exact_spline, alpha_start)
-    try:
-        records = _solve_level(delta, trials, *args)
-        return list(zip(trials, records))
-    except (NumericalError, ValueError):
-        pass
-    outcomes = []
-    for trial in trials:
-        try:
-            (outcome,) = _solve_level(delta, [trial], *args)
-        except (NumericalError, ValueError) as exc:
-            outcome = exc
-        outcomes.append((trial, outcome))
-    return outcomes
 
 
 def _warm_start(delta: float, previous: list) -> float | None:
     """Discrepancy start at `delta` from the records of the previous level.
 
     The median alpha of those records times the ratio of the delta^(8/5)
-    rule's alphas at `delta` and at theirs; None if there are no records.
+    rule's alphas at `delta` and at theirs; None without records or if it
+    leaves the floats.
     """
     if not previous:
         return None
-    scale = alpha_a_priori(delta, "eight_fifths") / alpha_a_priori(
-        previous[0].delta, "eight_fifths"
-    )
-    return float(np.median([r.alpha for r in previous])) * scale
+    rule = "eight_fifths"
+    try:
+        scale = alpha_a_priori(delta, rule) / alpha_a_priori(previous[0].delta, rule)
+    except ValueError:  # delta^(8/5) under- or overflows
+        return None
+    start = float(np.median([r.alpha for r in previous])) * scale
+    return start if start > 0 else None
 
 
 def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
@@ -221,9 +201,8 @@ def run_study(config: StudyConfig) -> list[ConvergenceRecord]:
         if config.rule[0] == "discrepancy":
             alpha_start = _warm_start(delta, previous)
         previous = []
-        for trial, outcome in _level_outcomes(
-            delta, config, exact_data, exact_spline, alpha_start
-        ):
+        outcomes = _solve_level(delta, config, exact_data, exact_spline, alpha_start)
+        for trial, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
                 warnings.warn(
                     f"study cell (delta={delta:g}, trial={trial}) failed: {outcome}",

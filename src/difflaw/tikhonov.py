@@ -43,7 +43,11 @@ laid end to end in one (S, n+1, 3) array, LAPACK's (3, S (n+1)) band: the
 entries that would couple two blocks are the ones past each member's last
 row, M[n+1, n], M[n+2, n] and M[n+1, n-1], all zeros, so one dpbtrf and one
 dpbtrs call factor and solve every member, each bit for bit as it would be
-alone.  A stack returns a tuple of results in stack order.  Also provided:
+alone.  A member whose band fails to factor gets the identity in its
+block, and dpbtrf goes on from the next member; when a solution
+overflows, dpbtrs solves each member on its own.  A stack returns a tuple
+in stack order of each member's result or of the exception it raises
+alone, and a failed member leaves the discrepancy search.  Also provided:
 the two a-priori parameter-choice rules and the naive differentiation
 reconstruction that serves as the instability baseline.
 """
@@ -59,7 +63,7 @@ import numpy as np
 from ._lapack import DOUBLES, INT, bind, dptr, int64
 from .exceptions import DataTooRoughError, NoiseLevelTooSmallError, NumericalError
 from .forward import CurveParametrization, TraceData, quadrature_norm
-from .splines import ParameterSpline, StateInterval, _element_gauss_rule
+from .splines import ParameterSpline, StateInterval, _apply_rows, _columns, _element_gauss_rule
 from .splines import _antiderivative, _coefficients, _fold, _nodes, _value_rows  # basis of A
 
 __all__ = [
@@ -92,27 +96,6 @@ MAX_NEWTON_STEPS = int(
 # (uplo, n, kd, ab, ldab, info) and (uplo, n, kd, nrhs, ab, ldab, b, ldb, info)
 _dpbtrf = bind("dpbtrf", INT, INT, DOUBLES, INT, INT)
 _dpbtrs = bind("dpbtrs", INT, INT, INT, DOUBLES, INT, DOUBLES, INT, INT)
-
-
-def _columns(first: np.ndarray, width: int) -> np.ndarray:
-    """Columns `first` shifted into member blocks of `width` laid end to end."""
-    count = first.size // first.shape[-1]
-    return first + width * np.arange(count).reshape(first.shape[:-1] + (1,))
-
-
-def _apply(rows: tuple[np.ndarray, np.ndarray], d: np.ndarray) -> np.ndarray:
-    """Row-by-row products with the coefficient vectors d, member by member."""
-    first, weights = rows
-    padded = np.zeros(d.shape[:-1] + (d.shape[-1] + 2,))
-    padded[..., :-2] = d
-    columns, values = _columns(first, padded.shape[-1]), padded.ravel()
-    out = np.take(values, columns)
-    out *= weights[0]
-    for p in (1, 2):
-        term = np.take(values, columns + p)
-        term *= weights[p]
-        out += term
-    return out
 
 
 def _gram_band(
@@ -197,9 +180,14 @@ def _penalty_rows(interval: StateInterval, n: int) -> tuple:
     """
     points, gauss_weights = _element_gauss_rule(interval, n)
     dx = interval.length / n
+    try:
+        k_weight = dx**-3
+    except OverflowError:
+        message = f"1/dx^3 overflows on n={n} elements of length {interval.length!r}"
+        raise NumericalError(message) from None
     # K: (a_{k+1} - a_k)^2 / dx = (d_{k+1} - 2 d_k + d_{k-1})^2 / dx^3
     k_rows = _fold(np.arange(n) - 1, np.repeat([[1.0], [-2.0], [1.0]], n, axis=1))
-    return (k_rows, np.full(n, dx**-3)), (_value_rows(interval, n, points), gauss_weights)
+    return (k_rows, np.full(n, k_weight)), (_value_rows(interval, n, points), gauss_weights)
 
 
 @functools.lru_cache(maxsize=8)
@@ -278,34 +266,42 @@ def _selected(array: np.ndarray, members, axis: int = 0) -> np.ndarray:
     return array if len(members) == array.shape[axis] else array.take(members, axis)
 
 
-def _factor(problem: TikhonovProblem, alphas, members) -> np.ndarray:
-    """Banded Cholesky factor of T^T W T + alpha (K + P) for the given members.
+def _factor(problem: TikhonovProblem, alphas, members) -> tuple[np.ndarray, list]:
+    """Banded Cholesky factors of T^T W T + alpha (K + P) for the given members.
 
     `members` lists distinct indices of the stack in increasing order, and
-    `alphas` holds one alpha for each of them.  Their lower bands are formed
-    side by side in one (len(members), n+1, 3) array, which dpbtrf factors
-    in place; returns that array, holding L.
+    `alphas` holds one alpha > 0 for each of them.  Their lower bands are
+    formed side by side in one (len(members), n+1, 3) array, which dpbtrf
+    factors in place.  Returns that array, holding L (the identity for a
+    member that fails), and per member None or its NumericalError.
     """
-    for alpha in alphas:
-        if not 0 < alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     size = problem.n_elements + 1
-    band = np.multiply.outer(alphas, problem.penalty_band)
-    band += _selected(problem.normal_band, members)
-    status = int64()
-    _dpbtrf(b"L", int64(band.size // 3), int64(2), dptr(band), int64(3), status, 1)
-    info = status.value
-    # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
-    # overflowed shows only as a non-finite diagonal of the factor
-    finite = np.isfinite(band[..., 0]).all(axis=1)
-    if info != 0 or not finite.all():
-        k = (info - 1) // size if info > 0 else int(np.argmin(finite))
-        raise NumericalError(
-            f"normal-equation factorization failed at alpha={alphas[k]!r} "
-            f"(size {size}, LAPACK info {info - k * size if info > 0 else info}); "
-            "system not finite and positive definite"
+    normal_band = _selected(problem.normal_band, members)
+    band = np.empty(normal_band.shape)
+    errors, start = [None] * len(alphas), 0
+    while start < len(alphas):
+        rest = band[start:]
+        np.multiply.outer(alphas[start:], problem.penalty_band, out=rest)
+        rest += normal_band[start:]
+        status = int64()
+        _dpbtrf(b"L", int64(rest.size // 3), int64(2), dptr(rest), int64(3), status, 1)
+        info = status.value
+        # LAPACK neither checks finiteness nor flags a NaN pivot, so a band that
+        # overflowed shows only as a non-finite diagonal of the factor: the
+        # first such member fails, or else the member LAPACK stopped in
+        stop = (info - 1) // size if info > 0 else len(rest)
+        finite = np.isfinite(rest[:stop, :, 0]).all(axis=1)
+        k = stop if finite.all() else int(np.argmin(finite))
+        if k == len(rest):
+            break
+        info = info - k * size if k == stop else 0
+        errors[start + k] = NumericalError(
+            f"normal-equation factorization failed at alpha={alphas[start + k]!r} "
+            f"(size {size}, LAPACK info {info}); system not finite and positive definite"
         )
-    return band
+        rest[k] = (1.0, 0.0, 0.0)
+        start += k + 1
+    return band, errors
 
 
 def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -316,42 +312,61 @@ def _apply_inverse(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # the status is not read: dpbtrs fails only on an illegal argument
     n = int64(x.size)
     _dpbtrs(b"L", n, int64(2), int64(1), dptr(factor), int64(3), dptr(x), n, int64(), 1)
+    if len(x) > 1 and not np.isfinite(x).all():
+        # a member whose solution overflows makes the zeros that couple it
+        # to its neighbours NaN (0 * inf): then each member is solved alone
+        x = np.concatenate([_apply_inverse(f[None], b[None]) for f, b in zip(factor, rhs)])
     return x
 
 
-def _solve(
-    problem: TikhonovProblem, alphas, members
-) -> tuple[np.ndarray, np.ndarray, list]:
+def _solve(problem: TikhonovProblem, alphas, members) -> tuple:
     """Normal equations of the given members at their alphas.
 
-    Returns the factor, the B-spline coefficients d (k, n+1) and the
-    residuals ||T d - y||_W as floats.
+    Returns the factor, the B-spline coefficients d (k, n+1), the residuals
+    ||T d - y||_W as floats and the errors of `_factor`.
     """
-    factor = _factor(problem, alphas, members)
+    factor, errors = _factor(problem, alphas, members)
     d = _apply_inverse(factor, _selected(problem.normal_rhs, members))
     first, weights = problem.t_rows
     rows = (_selected(first, members), _selected(weights, members, axis=1))
-    misfit = _apply(rows, d) - _selected(problem.y_values, members)
-    return factor, d, quadrature_norm(misfit, problem.quad_weights).tolist()
+    misfit = _apply_rows(rows, d, paired=True) - _selected(problem.y_values, members)
+    return factor, d, quadrature_norm(misfit, problem.quad_weights).tolist(), errors
 
 
-def _results(problem: TikhonovProblem, alphas, d, residuals):
-    """One ReconstructionResult per member: a tuple for a stack, else the one."""
-    interval = problem.members[0].interval
-    nodes = _nodes(np.asarray(d), problem.spacing)
-    results = tuple(
-        ReconstructionResult(ParameterSpline(interval, a), alpha=float(alpha), residual=r)
-        for alpha, a, r in zip(alphas, nodes, residuals)
-    )
-    return results[0] if isinstance(problem.data, TraceData) else results
+def _results(problem: TikhonovProblem, outcomes):
+    """Each member's ReconstructionResult from its (alpha, d, residual), or its error.
+
+    A stack gives them as a tuple in stack order; a problem built from one
+    TraceData returns its result or raises its error.
+    """
+    # every member's nodes in one pass; a failed member's d is a placeholder
+    d = [np.zeros(problem.n_elements + 1) if isinstance(o, Exception) else o[1] for o in outcomes]
+    results = []
+    for outcome, a in zip(outcomes, _nodes(np.stack(d), problem.spacing)):
+        if not isinstance(outcome, Exception):
+            alpha, _, residual = outcome
+            try:  # a solve that left the floats gives non-finite nodes
+                spline = ParameterSpline(problem.members[0].interval, a)
+                outcome = ReconstructionResult(spline, alpha=float(alpha), residual=residual)
+            except ValueError as exc:
+                outcome = exc
+        results.append(outcome)
+    if not isinstance(problem.data, TraceData):
+        return tuple(results)
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
-def _per_member(problem: TikhonovProblem, value) -> list:
-    """One value per member of the stack, from one value or a sequence of them."""
+def _per_member(problem: TikhonovProblem, value, name: str) -> list:
+    """One finite `name` > 0 per member of the stack, from one value or a sequence."""
     size = len(problem.members)
     values = list(value) if np.ndim(value) else [value] * size
     if len(values) != size:
         raise ValueError(f"need one value per member ({size}), got {len(values)}")
+    for item in values:
+        if not 0 < item < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {item}")
     return values
 
 
@@ -359,12 +374,14 @@ def solve_tikhonov(problem: TikhonovProblem, alpha):
     """Unique minimizer of the Tikhonov functional at parameter alpha > 0.
 
     alpha is one value for every member or a sequence of one per member.
-    Returns a ReconstructionResult for a problem built from one TraceData,
-    else a tuple of them in stack order.
+    Returns the ReconstructionResult of a problem built from one TraceData,
+    or raises its error; for a stack, a tuple in stack order of each
+    member's result or of the exception it raises alone.
     """
-    alphas = _per_member(problem, alpha)
-    _, d, residuals = _solve(problem, alphas, np.arange(len(alphas)))
-    return _results(problem, alphas, d, residuals)
+    alphas = _per_member(problem, alpha, "alpha")
+    _, d, residuals, errors = _solve(problem, alphas, np.arange(len(alphas)))
+    outcomes = zip(errors, alphas, d, residuals)
+    return _results(problem, [(a, x, r) if e is None else e for e, a, x, r in outcomes])
 
 
 def tikhonov_objective(problem: TikhonovProblem, node_values: np.ndarray, alpha: float):
@@ -392,17 +409,22 @@ def alpha_a_priori(delta: float, rule: str = "quadratic", coeff: float = 0.1) ->
 
     rule="quadratic" gives delta^2; rule="eight_fifths" (with an
     underscore) gives coeff * delta^(8/5) with the default coefficient 0.1.
-    delta, and coeff under eight_fifths, must be finite and > 0.
+    delta, and coeff under eight_fifths, must be finite and > 0, and so
+    must the alpha they give.
     """
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    if rule == "quadratic":
-        return float(delta) ** 2
-    if rule == "eight_fifths":
-        if not 0 < coeff < np.inf:
-            raise ValueError(f"coeff must be finite and > 0, got {coeff}")
-        return coeff * float(delta) ** 1.6
-    raise ValueError(f"unknown parameter-choice rule {rule!r}")
+    if rule == "eight_fifths" and not 0 < coeff < np.inf:
+        raise ValueError(f"coeff must be finite and > 0, got {coeff}")
+    if rule not in ("quadratic", "eight_fifths"):
+        raise ValueError(f"unknown parameter-choice rule {rule!r}")
+    try:
+        alpha = float(delta) ** 2 if rule == "quadratic" else coeff * float(delta) ** 1.6
+    except OverflowError:
+        alpha = np.inf
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"the {rule} rule gives alpha={alpha} at delta={delta!r}")
+    return alpha
 
 
 class _Search:
@@ -469,54 +491,53 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5, alpha_s
     member, and so is alpha_start unless None; a start must be finite and
     > 0.  A start near the answer saves Newton rounds; an answer that lands
     in the window moves with the start by no more than the window's width
-    in alpha.  The members search side by side: each round
-    factors and solves the members still searching in one call, and a
-    member drops out of the rounds once its search is over.  Returns a
-    ReconstructionResult for a problem built from one TraceData, else a
-    tuple of them in stack order.
+    in alpha.  The members search side by side: each round factors and
+    solves the members still searching in one call, and a member drops out
+    of the rounds once its search is over or has failed.
 
-    Raises NoiseLevelTooSmallError if the residual at ALPHA_MIN already
-    exceeds the bracket, DataTooRoughError if ||y||_W stays below it, and
-    NumericalError if the upper end never lands inside it, for any member.
+    A member fails with NoiseLevelTooSmallError if its residual at
+    ALPHA_MIN already exceeds the bracket, DataTooRoughError if ||y||_W
+    stays below it, and NumericalError if a factorization fails or the upper
+    end never lands inside it.  Returns what `solve_tikhonov` returns.
     """
-    deltas = _per_member(problem, delta)
-    for value in deltas:
-        if not 0 < value < np.inf:
-            raise ValueError(f"delta must be finite and > 0, got {value}")
+    deltas = _per_member(problem, delta, "delta")
     if not 1 < tau < np.inf:
         raise ValueError(f"tau must be finite and > 1, got {tau}")
     starts = [None] * len(deltas)
     if alpha_start is not None:
-        starts = _per_member(problem, alpha_start)
-        for value in starts:
-            if not 0 < value < np.inf:
-                raise ValueError(f"alpha_start must be finite and > 0, got {value}")
+        starts = _per_member(problem, alpha_start, "alpha_start")
     searches = [_Search(value, tau, start) for value, start in zip(deltas, starts)]
     data_norms = quadrature_norm(problem.y_values, problem.quad_weights)
-    for value, search, data_norm in zip(deltas, searches, data_norms):
+    # per member: (alpha, d, residual) or its error, once it is done
+    outcomes = [None] * len(searches)
+    _, d, res, errors = _solve(problem, [ALPHA_MIN] * len(searches), np.arange(len(searches)))
+    for i, (value, search, data_norm) in enumerate(zip(deltas, searches, data_norms)):
         if data_norm < search.target_lo:
-            raise DataTooRoughError(
+            outcomes[i] = DataTooRoughError(
                 f"data norm {data_norm:.3e}, the residual as alpha grows without bound, "
                 f"is below {search.target_lo:.3e}; the noise level {value:g} exceeds "
                 "the data scale"
             )
-
-    outcomes = [None] * len(searches)  # (alpha, d, residual) once a member is done
-    _, d, res = _solve(problem, [ALPHA_MIN] * len(searches), np.arange(len(searches)))
-    for i, (value, search) in enumerate(zip(deltas, searches)):
-        if res[i] > search.target_hi:
-            raise NoiseLevelTooSmallError(
+        elif errors[i] is not None:
+            outcomes[i] = errors[i]
+        elif res[i] > search.target_hi:
+            outcomes[i] = NoiseLevelTooSmallError(
                 f"residual {res[i]:.3e} at alpha={ALPHA_MIN:g} already exceeds "
                 f"{search.target_hi:.3e}; the claimed noise level {value:g} is below what "
                 "the data can be fitted to"
             )
-        if res[i] >= search.target_lo:
+        elif res[i] >= search.target_lo:
             outcomes[i] = (ALPHA_MIN, d[i], res[i])
 
     active = [i for i, outcome in enumerate(outcomes) if outcome is None]
     while active:
-        factor, d, res = _solve(problem, [searches[i].alpha for i in active], active)
-        going = [j for j, i in enumerate(active) if not searches[i].landed(d[j], res[j])]
+        factor, d, res, errors = _solve(problem, [searches[i].alpha for i in active], active)
+        going = []
+        for j, i in enumerate(active):
+            if errors[j] is not None:
+                outcomes[i] = errors[j]
+            elif not searches[i].landed(d[j], res[j]):
+                going.append(j)
         x = None
         for j in going:
             search = searches[active[j]]
@@ -529,15 +550,14 @@ def alpha_discrepancy(problem: TikhonovProblem, delta, tau: float = 1.5, alpha_s
         active = [active[j] for j in going]
 
     for i, search in enumerate(searches):
-        if outcomes[i] is not None:
-            continue
-        if search.upper is None or search.upper[1] > search.target_hi:
-            raise NumericalError(
+        if outcomes[i] is None and (search.upper is None or search.upper[1] > search.target_hi):
+            outcomes[i] = NumericalError(
                 "discrepancy search did not land in the residual bracket "
                 f"[{search.target_lo:.3e}, {search.target_hi:.3e}]"
             )
-        outcomes[i] = (search.hi, *search.upper)
-    return _results(problem, *zip(*outcomes))
+        elif outcomes[i] is None:
+            outcomes[i] = (search.hi, *search.upper)
+    return _results(problem, outcomes)
 
 
 def naive_reconstruction(

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import difflaw
 from difflaw.checks import ALL_CHECKS
@@ -106,8 +112,51 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     for flag, value in [("--n", "0"), ("--m", "1")]:
         assert main(study + [flag, value]) == 1
         assert flag in capsys.readouterr().err
+    # delta^2 overflows, and the noise range [-delta, delta] is wider than the floats
+    assert main(["study", "--deltas", "1e300,1e-3,1e-4"] + study[1:]) == 1
+    assert "delta=1e+300" in capsys.readouterr().err
     assert not (tmp_path / "study").exists()
+    assert main(["reconstruct", "--delta", "1e308", "--alpha", "1e-6", "--out", out]) == 1
+    assert "1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     capsys.readouterr()
+
+
+# each numeric flag draws from the values at the edges of the floats and from
+# ordinary ones
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1e-320", "-1e-320", "1e-300", "1e300", "1e308", "inf", "nan"]),
+    st.floats(1e-8, 10.0).map(repr),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@example("study", "1e-3", "1e-6", ["1e300", "1e-3", "1e-4"], "quadratic", None, 20, 50)
+@example("reconstruct", "1e308", "1e-6", ["1e-3"], "quadratic", None, 20, 50)
+@given(
+    command=st.sampled_from(["study", "reconstruct"]),
+    delta=NUMBERS,
+    alpha=NUMBERS,
+    deltas=st.lists(NUMBERS, min_size=1, max_size=3, unique=True),
+    rule=st.sampled_from(["quadratic", "eight-fifths", "discrepancy"]),
+    param=st.none() | NUMBERS,
+    n=st.integers(1, 30),
+    m=st.integers(2, 60),
+)
+def test_numeric_flags_never_raise(command, delta, alpha, deltas, rule, param, n, m):
+    # whatever the numbers, main returns an exit code: 0, or 1 for a
+    # rejected value, or 2 for a numerical failure
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True):
+        warnings.simplefilter("always")
+        if command == "study":
+            levels = ",".join(sorted(deltas, key=float, reverse=True))
+            argv = ["study", "--deltas", levels, "--trials", "1"]
+            argv += ["--alpha-rule", rule if param is None else f"{rule}:{param}"]
+        else:
+            argv = ["reconstruct", "--delta", delta, "--alpha", alpha]
+        argv += ["--n", str(n), "--m", str(m), "--out", str(Path(tmp) / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
 
 
 def test_unknown_flag_exits_1(capsys):

@@ -22,6 +22,13 @@ def test_interval_validation():
     assert StateInterval(0.0, 2.0).length == 2.0
 
 
+def test_interval_length_must_be_finite():
+    # finite ends whose difference overflows would give inf spacings and NaN values
+    with pytest.raises(ValueError, match="length"):
+        StateInterval(-1e308, 1e308)
+    assert StateInterval(-8e307, 8e307).length == 1.6e308
+
+
 def test_spline_rejects_non_finite_node():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="node 1"):

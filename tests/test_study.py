@@ -55,6 +55,12 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError, match=name):
             StudyConfig(**{name: bad})
+    # an a-priori alpha that leaves the floats fails before any cell is solved
+    for rule, delta in [("quadratic", 1e300), ("quadratic", 1e-300), ("eight-fifths", 1e-320)]:
+        with pytest.raises(ValueError, match="rule gives alpha=") as caught:
+            StudyConfig(delta_list=(delta,), alpha_rule=rule)
+        assert f"at delta={delta!r}" in str(caught.value)
+    StudyConfig(delta_list=(1e300, 1e-3), alpha_rule="discrepancy")
     sizes = StudyConfig(trials=np.int64(2), n_spline=np.int64(10), m_quad=np.int64(20))
     assert sizes.trials == 2
 
@@ -249,6 +255,28 @@ def test_partly_failing_level_matches_cell_by_cell():
     assert [r.trial for r in records if r.delta == 2.4e-9] == [0, 1, 3, 5]
 
 
+def test_partly_failing_level_takes_one_stacked_solve(monkeypatch):
+    # a count: at 2.4e-9 all six trials end after the ALPHA_MIN round, so
+    # the level makes one factorization call for six members; a level whose
+    # cells fail is not solved again
+    factor, search = tikhonov._factor, study.alpha_discrepancy
+    levels = []
+
+    def counting_factor(problem, alphas, members):
+        levels[-1].append(len(members))
+        return factor(problem, alphas, members)
+
+    def counting_search(problem, delta, tau, alpha_start=None):
+        levels.append([])
+        return search(problem, delta, tau=tau, alpha_start=alpha_start)
+
+    monkeypatch.setattr(tikhonov, "_factor", counting_factor)
+    monkeypatch.setattr(study, "alpha_discrepancy", counting_search)
+    with pytest.warns(UserWarning, match="failed"):
+        run_study(PARTLY_FAILING)
+    assert len(levels) == 2 and levels[1] == [6]
+
+
 def test_level_after_one_without_records_starts_cold():
     # every cell at delta = 10 exceeds the data scale and fails, so the
     # level after it searches from the default start, as a first level does
@@ -257,6 +285,15 @@ def test_level_after_one_without_records_starts_cold():
         records = run_study(config)
     alone = run_study(StudyConfig(delta_list=(1e-3,), alpha_rule="discrepancy", trials=2))
     assert records == alone
+
+
+def test_warm_start_that_leaves_the_floats_is_cold():
+    # at 1e-300 delta^(8/5) underflows; at 1e-200 it does not, but the start
+    # from a previous median of 1e-16 does; either way the search starts cold
+    previous = [ConvergenceRecord(1e-3, 1e-16, 0, 0, 0.1, 0.1, 1.5e-3)]
+    assert study._warm_start(1e-4, previous) > 0
+    assert study._warm_start(1e-200, previous) is None
+    assert study._warm_start(1e-300, previous) is None
 
 
 def test_warm_start_moves_alpha_within_the_window():

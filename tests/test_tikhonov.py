@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from difflaw import (
@@ -247,7 +247,8 @@ def test_factor_solves_like_dense(n, count):
     alphas = [1e-6, 1e-5, 1e-4][:count]
     rhs = np.random.default_rng(n).normal(size=(count, n + 1))
     given = rhs.copy()
-    factor = _factor(problem, alphas, np.arange(count))
+    factor, errors = _factor(problem, alphas, np.arange(count))
+    assert errors == [None] * count
     x = _apply_inverse(factor, rhs)
     np.testing.assert_array_equal(rhs, given)
     with pytest.raises(ValueError, match="do not fit the factor"):
@@ -276,7 +277,8 @@ def test_factor_and_solve_are_backward_stable(n, extra, log_alphas, seed):
     problem = build_tikhonov_problem(data, n)
     alphas = [10.0**e for e in log_alphas]
     rhs = np.random.default_rng(seed).normal(size=(count, n + 1))
-    factor = _factor(problem, alphas, np.arange(count))
+    factor, errors = _factor(problem, alphas, np.arange(count))
+    assert errors == [None] * count
     x = _apply_inverse(factor, rhs)
     eps = np.finfo(float).eps
     for band in (problem.normal_band, problem.penalty_band, factor):
@@ -314,17 +316,88 @@ def test_factor_is_the_upper_layout_factor(n, count, alpha):
     dpbtrf = _lapack("dpbtrf", INT, INT, DOUBLES, INT, INT)
     dpbtrf(b"U", int64(upper.size // 3), int64(2), dptr(upper), int64(3), status, 1)
     assert status.value == 0
-    assert np.array_equal(_upper(_factor(problem, alphas, np.arange(count))), upper)
+    assert np.array_equal(_upper(_factor(problem, alphas, np.arange(count))[0]), upper)
 
 
 def test_factor_names_the_indefinite_member(exact_data):
-    # LAPACK's info, read back as a 64-bit integer, locates the failing pivot
+    # LAPACK's info, read back as a 64-bit integer, locates the failing pivot;
+    # that member's block becomes the identity, and the members on either
+    # side are factored bit for bit as they are alone
     problem = build_tikhonov_problem([exact_data] * 3, 20)
     normal_band = problem.normal_band.copy()
     normal_band[1, 5, 0] = -1e6
     indefinite = replace(problem, normal_band=normal_band)
+    factor, errors = _factor(indefinite, [0.1, 0.2, 0.3], np.arange(3))
+    assert errors[0] is None and errors[2] is None
     with pytest.raises(NumericalError, match=r"alpha=0\.2 \(size 21, LAPACK info 6\)"):
-        _factor(indefinite, [0.1, 0.2, 0.3], np.arange(3))
+        raise errors[1]
+    assert np.array_equal(factor[1], np.tile([1.0, 0.0, 0.0], (21, 1)))
+    for i, alpha in ((0, 0.1), (2, 0.3)):
+        alone, _ = _factor(problem, [alpha], [i])
+        assert np.array_equal(factor[i], alone[0])
+
+
+# a member's failure: a band made indefinite, an alpha whose band overflows,
+# a noise level below what the discrepancy search can reach, or data so
+# large that the member's solution overflows
+CAUSES = ["indefinite", "overflow", "noise_too_small", "unbounded"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@example(size=3, position=1, cause="unbounded", search=False)  # spreads to member 0
+@given(
+    size=st.integers(1, 6),
+    position=st.integers(0, 5),
+    cause=st.sampled_from(CAUSES),
+    search=st.booleans(),
+)
+def test_failing_member_leaves_the_others_as_alone(size, position, cause, search):
+    # each member of the stack reports what it gives alone: the others' node
+    # values, alpha and residual bit for bit, and the failing member's
+    # exception with its type and message
+    failing, n = position % size, 200 if cause == "unbounded" else 20
+    exact = reference_exact_data(60)
+    members = [_noisy(exact, 1e-3, seed) for seed in range(size)]
+    if cause == "unbounded":
+        members[failing] = replace(exact, y_values=exact.y_values * 5e307)
+    by_search = cause == "noise_too_small" or (search and cause != "overflow")
+    if by_search:
+        values = [1e-12 if cause == "noise_too_small" and i == failing else 1e-3
+                  for i in range(size)]
+    else:
+        values = list(np.geomspace(1e-8, 1e-4, size))
+        if cause in ("overflow", "unbounded"):
+            values[failing] = 1e305 if cause == "overflow" else 1e-4
+
+    def problem_of(data, *indices):
+        # the indefinite entry goes into the failing member's band
+        problem = build_tikhonov_problem(data, n)
+        if cause != "indefinite" or failing not in indices:
+            return problem
+        band = problem.normal_band.copy()
+        band[indices.index(failing), 5, 0] = -1e6
+        return replace(problem, normal_band=band)
+
+    def solve(problem, value):
+        return alpha_discrepancy(problem, value) if by_search else solve_tikhonov(problem, value)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflows
+        stacked = solve(problem_of(members, *range(size)), values)
+        for i, (member, value, outcome) in enumerate(zip(members, values, stacked)):
+            alone = problem_of(member, i)
+            if i != failing:
+                assert _same(outcome, solve(alone, value))
+                continue
+            expected = NumericalError
+            if cause == "noise_too_small" or (cause == "unbounded" and by_search):
+                expected = NoiseLevelTooSmallError  # its residual at ALPHA_MIN is inf
+            elif cause == "unbounded":
+                expected = ValueError  # its nodes are not finite
+            assert type(outcome) is expected
+            with pytest.raises(expected) as caught:
+                solve(alone, value)
+            assert type(caught.value) is expected and str(caught.value) == str(outcome)
 
 
 def test_missing_lapack_routine_names_the_numpy_build():
@@ -337,6 +410,13 @@ def test_alpha_must_be_positive(exact_data):
     for alpha in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="alpha"):
             solve_tikhonov(problem, alpha)
+
+
+def test_penalty_weight_overflow_is_numerical_error():
+    # on [0, 1e-120] with 20 elements dx^-3 leaves the floats
+    data = _data_on(StateInterval(0.0, 1e-120), 0)
+    with pytest.raises(NumericalError, match=r"overflows on n=20 .* length 1e-120"):
+        build_tikhonov_problem(data, 20)
 
 
 def test_alpha_overflow_is_numerical_error(exact_data):
